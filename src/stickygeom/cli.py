@@ -2,7 +2,8 @@
 
 Configs are JSON documents holding a space, one or two measures, and
 command parameters; reports are emitted as JSON or CSV with full float
-precision so reruns are byte-identical.
+precision so reruns are byte-identical.  The report goes to the output
+path, or to stdout when there is none; a one-line summary goes to stderr.
 
     stickygeom <command> --config cfg.json [--out report.csv]
                [--format csv|json] [--seed N] [--threads K]
@@ -24,7 +25,6 @@ from .spaces import (
     FiniteDirections,
     Measure,
     OpenBook,
-    Point,
     Space,
     is_prismatic,
     measure_from_json,
@@ -238,10 +238,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _point_json(sp, p: Point):
-    return point_to_json(sp, p)
-
-
 def run_config(cfg: ExperimentConfig):
     """Execute a validated config; returns (report dict, rows, summary)."""
     handler = _HANDLERS[cfg.command]
@@ -251,7 +247,7 @@ def run_config(cfg: ExperimentConfig):
 def _cmd_mean(cfg):
     m = frechet.frechet_mean(cfg.space, cfg.measure)
     val = frechet.frechet_value(cfg.space, cfg.measure, m)
-    report = {"mean": _point_json(cfg.space, m), "frechet_value": val}
+    report = {"mean": point_to_json(cfg.space, m), "frechet_value": val}
     rows = [{"mean_dir": _coord_csv(m.direction), "mean_r": m.radius,
              "frechet_value": val}]
     return report, rows, f"mean: {point_to_json(cfg.space, m)} F={_fmt(val)}"
@@ -281,7 +277,7 @@ def _cmd_classify(cfg):
         "c_min": rep.c_min,
         "argmin_direction": _coord_json(rep.argmin_direction),
         "pull_condition": rep.pull_condition,
-        "mean": _point_json(cfg.space, rep.mean),
+        "mean": point_to_json(cfg.space, rep.mean),
     }
     rows = [{"label": rep.label, "c_min": rep.c_min,
              "argmin_direction": _coord_csv(rep.argmin_direction),
@@ -297,7 +293,7 @@ def _cmd_perturb(cfg):
         mixed = transport.perturbed_measure(cfg.space, cfg.measure, y, float(t))
         rep = stickiness.classify(cfg.space, mixed)
         rows.append({"t": float(t), "label": rep.label, "c_min": rep.c_min})
-    report = {"threshold": t_star, "y": _point_json(cfg.space, y),
+    report = {"threshold": t_star, "y": point_to_json(cfg.space, y),
               "t_grid": [r["t"] for r in rows],
               "labels": [r["label"] for r in rows]}
     if not rows:
@@ -507,7 +503,7 @@ def main(argv=None) -> int:
             fh.write(text_out)
     else:
         sys.stdout.write(text_out)
-    print(summary)
+    print(summary, file=sys.stderr)
     return 0
 
 

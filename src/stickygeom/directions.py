@@ -5,9 +5,11 @@ The derivative in direction sigma is -sum_i w_i r_i cos(d_pi(sigma, dir_i)).
 Between breakpoints (atom directions, points where an atom's capped distance
 reaches pi, branch switches of graph distances) every atom contributes either
 a constant or cos(theta + delta_i), so each smooth piece is a single sinusoid
-plus a constant.  The scalar minimizer runs golden-section per piece with all
-breakpoints as candidates; the batched minimizer used by the Monte Carlo
-paths evaluates the per-piece closed form instead.
+plus a constant, c - R cos(theta - phi).  Its minimizer on the piece is the
+critical angle phi when that lies inside, else an endpoint.  Both minimizers
+share one per-piece closed form: the scalar one adds the critical angles to
+the breakpoint candidates and scores them exactly, the batched one used by
+the Monte Carlo paths takes the closed-form values for every row at once.
 """
 from __future__ import annotations
 
@@ -28,32 +30,7 @@ from .spaces import (
 )
 
 TWO_PI = 2.0 * PI
-GOLDEN_TOL = 1e-10
 TIE_TOL = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Golden-section search for a minimum on [lo, hi]; returns (x, f(x)).
-
-    Correct for unimodal pieces; on monotone or rising-falling pieces it
-    converges toward an endpoint, which callers cover separately.
-    """
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 @dataclass
@@ -260,48 +237,42 @@ def _coord_key(system: DirectionSystem, coord):
     return c
 
 
+def _piece_minimum(piece: Piece, coeffs: np.ndarray):
+    """Closed-form minimum of c - a cos(theta) - b sin(theta) on one piece,
+    for each row of atom coefficients.
+
+    Returns the critical angle theta* = lo + mod(atan2(b, a) - lo, 2 pi),
+    whether theta* lies in the piece (a flat row, a = b = 0, has none), and
+    the value c - hypot(a, b) there."""
+    a = coeffs @ piece.col_a
+    b = coeffs @ piece.col_b
+    radius = np.hypot(a, b)
+    theta = piece.lo + np.mod(np.arctan2(b, a) - piece.lo, TWO_PI)
+    inside = (theta <= piece.hi + 1e-15) & (radius > 0.0)
+    return theta, inside, coeffs @ piece.col_c - radius
+
+
 def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     """Minimize the direction derivative over all directions.
 
     Breakpoints are always candidates (the derivative is non-smooth there);
-    each smooth piece contributes its golden-section minimizer and its exact
-    interior critical point.  Ties go to the smallest coordinate."""
+    each smooth piece adds its closed-form critical angle when that lies
+    inside the piece.  Every candidate is scored with the exact derivative,
+    and ties within TIE_TOL go to the smallest coordinate."""
     w = np.asarray(weights, dtype=float)
     entries = []
     for g, coord in enumerate(system.candidates):
         val = -math.fsum(wi * pi_ for wi, pi_ in zip(w, system.pulls[:, g]))
         entries.append((val, _coord_key(system, coord), coord))
     for piece in system.pieces:
-        if piece.edge is None:
-            f = lambda t: system.derivative_at(w, t)
-            coord_of = lambda t: system.space.directions.canonical(t)
-        else:
-            eid = piece.edge
-            f = lambda t, eid=eid: system.derivative_at(w, (eid, t))
-            coord_of = lambda t, eid=eid: system.space.directions.canonical((eid, t))
-        x, fx = golden_section(f, piece.lo, piece.hi)
-        # golden-section localizes the argmin only to ~sqrt(eps); the interior
-        # critical point of the piece sinusoid pins it to full precision and
-        # supersedes the golden point whenever it is at least as good
-        star = None
-        a = float(w @ piece.col_a)
-        b = float(w @ piece.col_b)
-        if a != 0.0 or b != 0.0:
-            cand = piece.lo + math.fmod(math.atan2(b, a) - piece.lo, TWO_PI)
-            if cand < piece.lo:
-                cand += TWO_PI
-            if piece.lo <= cand <= piece.hi:
-                star = cand
-        if star is not None:
-            fs = f(star)
-            if fs <= fx + TIE_TOL * (1.0 + abs(fx)):
-                coord = coord_of(star)
-                entries.append((fs, _coord_key(system, coord), coord))
-                continue
-            coord = coord_of(star)
-            entries.append((fs, _coord_key(system, coord), coord))
-        coord = coord_of(x)
-        entries.append((fx, _coord_key(system, coord), coord))
+        theta, inside, _ = _piece_minimum(piece, w)
+        if not inside:
+            continue
+        theta = float(theta)
+        coord = system.space.directions.canonical(
+            theta if piece.edge is None else (piece.edge, theta))
+        entries.append((system.derivative_at(w, coord),
+                        _coord_key(system, coord), coord))
     best = min(e[0] for e in entries)
     tol = TIE_TOL * (1.0 + abs(best))
     tied = [e for e in entries if e[0] <= best + tol]
@@ -320,16 +291,9 @@ def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndar
     resample counts / n.  Uses the closed form per smooth piece.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    # min over candidates of -(c . pull) == -(max of c . pull)
     best = -(coeffs @ system.pulls).max(axis=1)
-    # note: min over candidates of -(c . pull) == -(max of c . pull)
     for piece in system.pieces:
-        a = coeffs @ piece.col_a
-        b = coeffs @ piece.col_b
-        c = coeffs @ piece.col_c
-        radius = np.hypot(a, b)
-        phi = np.arctan2(b, a)
-        theta = piece.lo + np.mod(phi - piece.lo, TWO_PI)
-        feasible = theta <= piece.hi + 1e-15
-        cand = np.where(feasible, c - radius, np.inf)
-        best = np.minimum(best, cand)
+        _, inside, value = _piece_minimum(piece, coeffs)
+        best = np.minimum(best, np.where(inside, value, np.inf))
     return best

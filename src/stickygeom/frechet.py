@@ -56,9 +56,9 @@ def directional_derivative(sp: Cone, mu: Measure, sigma) -> float:
 def min_directional_derivative(sp: Cone, mu: Measure) -> tuple[object, float]:
     """Smallest direction derivative at the cone point and its direction.
 
-    Finite direction sets are enumerated; circles and metric graphs are
-    minimized per smooth piece (golden-section plus breakpoint candidates).
-    Ties go to the smallest direction coordinate.
+    Finite direction sets are enumerated; circles and metric graphs add the
+    closed-form critical angle of each smooth piece to the breakpoint
+    candidates.  Ties go to the smallest direction coordinate.
     """
     if not isinstance(sp, Cone):
         raise ValueError("min_directional_derivative expects a cone")
@@ -84,15 +84,11 @@ def derivative_profile(sp: Cone, mu: Measure, directions=None) -> DerivativeProf
     argmin, min_value = min_derivative(system, w)
     if directions is None:
         directions = list(system.candidates)
-        if all(_coord_ne(argmin, c) for c in directions):
+        if argmin not in directions:
             directions.append(argmin)
     values = tuple(system.derivative_at(w, c) for c in directions)
     return DerivativeProfile(tuple(directions), values, argmin, min_value,
                              lipschitz_L(sp, mu, cone_point(sp)))
-
-
-def _coord_ne(a, b) -> bool:
-    return a != b
 
 
 def cone_mean(sp: Cone, mu: Measure) -> Point:
@@ -102,6 +98,12 @@ def cone_mean(sp: Cone, mu: Measure) -> Point:
     exact quadratic, so the global minimizer is the argmin direction at
     radius max(0, -smallest derivative)."""
     argmin, value = min_directional_derivative(sp, mu)
+    return mean_from_min_derivative(sp, argmin, value)
+
+
+def mean_from_min_derivative(sp: Cone, argmin, value: float) -> Point:
+    """Cone mean from the smallest direction derivative and its direction:
+    the cone point when value >= 0, else the point at radius -value."""
     radius = max(0.0, -value)
     if radius == 0.0:
         return cone_point(sp)

@@ -10,8 +10,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._mc import resample_counts
-from .directions import batch_min_derivative, build_system, min_derivative
-from .frechet import directional_derivative, frechet_mean, pull
+from .directions import TIE_TOL, batch_min_derivative, build_system, min_derivative
+from .frechet import (
+    directional_derivative,
+    mean_from_min_derivative,
+    open_book_mean,
+    pull,
+)
 from .spaces import (
     PI,
     CircleDirections,
@@ -59,19 +64,21 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
         c_min = vals[argmin]
         derivs = tuple((j, vals[j]) for j in range(sp.pages))
         pc = pull_condition(sp.spider, marg)
+        mean = open_book_mean(sp, mu)
     else:
         system = build_system(sp, mu)
-        argmin, c_min = min_derivative(system, mu.weights())
         w = mu.weights()
+        argmin, c_min = min_derivative(system, w)
         derivs = tuple((c, system.derivative_at(w, c)) for c in system.candidates)
         pc = pull_condition(sp, mu)
+        mean = mean_from_min_derivative(sp, argmin, c_min)
     if c_min > tol:
         label = "sticky"
     elif c_min < -tol:
         label = "nonsticky"
     else:
         label = "boundary"
-    return StickinessReport(label, c_min, argmin, pc, frechet_mean(sp, mu), derivs)
+    return StickinessReport(label, c_min, argmin, pc, mean, derivs)
 
 
 def folded_moments(sp: OpenBook, mu: Measure) -> np.ndarray:
@@ -167,6 +174,8 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     and graphs bisect the concave map t -> smallest derivative."""
     if isinstance(sp, OpenBook):
         marg, vals = _page_derivatives(sp, mu)
+        if min(vals) < -tol:
+            return 0.0
         y_marg = point(sp.spider, y.direction, y.radius)
         pulls = [pull(sp.spider, j, y_marg) for j in range(sp.pages)]
         return _finite_threshold(vals, pulls)
@@ -249,10 +258,11 @@ def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
         raise ValueError("trials must be positive")
     system = build_system(sp, mu)
     counts = resample_counts(mu.weights(), n, trials, seed, threads)
-    # raw counts keep tied leg sums exactly zero (the sign is scale-free);
-    # dividing by n first would turn ties into float noise
+    # a tied resample has smallest derivative zero up to rounding, and the
+    # rounding grows with the radii; only a minimum below the tie tolerance
+    # of the derivative's scale counts as leaving
     minvals = batch_min_derivative(system, counts.astype(float))
-    nonstick = minvals < 0.0
+    nonstick = minvals < -TIE_TOL * (counts @ system.radii)
     p_hat = float(nonstick.mean())
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return SampleStickingResult(n, trials, p_hat, se, seed)

@@ -156,7 +156,7 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
         for z, w in mu.atoms:
             if z.radius == 0.0:
                 continue  # mass at the cone point never crosses a cut
-            key = _dir_key(sp.directions, z.direction)
+            key = _dir_key(z.direction)
             rep.setdefault(key, z.direction)
             legs[key].append((z.radius, sign * w))
     directions = [rep[k] for k in sorted(rep.keys())]
@@ -177,7 +177,7 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
     return total
 
 
-def _dir_key(ds, direction):
+def _dir_key(direction):
     if isinstance(direction, tuple):
         return direction
     if isinstance(direction, float):

@@ -109,7 +109,16 @@ def test_classify_spider_fixture(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["label"] == "sticky"
     assert report["c_min"] == pytest.approx(1 / 3, abs=1e-15)
-    assert "classify: label=sticky" in capsys.readouterr().out
+    assert "classify: label=sticky" in capsys.readouterr().err
+
+
+def test_stdout_report_parses_without_out(capsys):
+    rc = main(["classify", "--config", fixture_path("kale_2pi.json")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["label"] == "boundary"
+    assert captured.err.startswith("classify: label=")
 
 
 def test_prismatic_kale_2pi(tmp_path):

@@ -64,6 +64,25 @@ def test_open_book_classification():
     assert rep.mean.radius == 0.0 and rep.mean.euclidean == (0.0,)
 
 
+def test_classify_cone_solves_once(monkeypatch):
+    build = ST.build_system
+    calls = []
+
+    def counted(sp, mu):
+        calls.append(sp)
+        return build(sp, mu)
+
+    # frechet too: a second solve through cone_mean would go through it
+    monkeypatch.setattr(ST, "build_system", counted)
+    monkeypatch.setattr(F, "build_system", counted)
+    k = S.kale(2 * PI)
+    mu = S.measure(k, [((0.0, 1.0), 0.7), ((2.0, 0.5), 0.3)])
+    rep = ST.classify(k, mu)
+    assert len(calls) == 1
+    assert rep.label == "nonsticky"
+    assert rep.mean == F.cone_mean(k, mu)
+
+
 # ---------------------------------------------------------------------------
 # folded moments
 # ---------------------------------------------------------------------------
@@ -201,6 +220,17 @@ def test_threshold_open_book():
     assert ST.perturbation_threshold(bk, thirds, spine_y) == 1.0
 
 
+def test_threshold_open_book_nonsticky_is_zero():
+    bk = S.open_book(3, 2)
+    mu = S.measure(bk, [(S.point(bk, 0, 1.0, (0.0,)), 0.8),
+                        (S.point(bk, 1, 1.0, (0.0,)), 0.2)])
+    rep = ST.classify(bk, mu)
+    assert rep.label == "nonsticky"
+    assert rep.mean.radius == pytest.approx(0.6, abs=1e-15)
+    y = S.point(bk, 1, 1.0, (0.0,))
+    assert ST.perturbation_threshold(bk, mu, y) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -234,6 +264,18 @@ def test_sample_sticking_deterministic(spider3, thirds):
     assert a == b == c
     d = ST.sample_sticking(spider3, thirds, 21, 5000, 999)
     assert d.p_hat != a.p_hat
+
+
+def test_sample_sticking_ties_do_not_depend_on_radius():
+    # a resample with exactly n/2 draws on one leg keeps the mean at the cone
+    # point whatever the common radius; rounding must not decide that
+    sp = S.spider(3)
+    weights = (0.49, 0.3, 0.21)
+    p_hats = set()
+    for r in (1.0, 1.37, 0.77):
+        mu = S.measure(sp, [((j, r), w) for j, w in enumerate(weights)])
+        p_hats.add(ST.sample_sticking(sp, mu, 500, 10_000, 5).p_hat)
+    assert len(p_hats) == 1
 
 
 def test_sample_sticking_open_book():

@@ -1,9 +1,11 @@
 """Deterministic, parallelism-independent Monte Carlo resampling.
 
-Trials are processed in fixed-size chunks; chunk c draws from an independent
-Philox stream `Philox(key=seed).jumped(c)`.  The chunk layout never depends
-on the worker count, so results are a pure function of (inputs, seed), and
-chunk outputs are combined in chunk order regardless of scheduling.
+Each resample of size n is one multinomial draw over the m atoms, so a batch
+of trials costs O(trials * m) time and memory whatever n is.  Trials are
+processed in fixed-size chunks; chunk c draws from an independent Philox
+stream `Philox(key=seed).jumped(c)`.  The chunk layout never depends on the
+worker count, so results are a pure function of (inputs, seed), and chunk
+outputs are combined in chunk order regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -14,14 +16,12 @@ import numpy as np
 CHUNK = 4096
 
 
-def _chunk_counts(cum: np.ndarray, n: int, seed: int, chunk_index: int,
+def _chunk_counts(w: np.ndarray, n: int, seed: int, chunk_index: int,
                   rows: int) -> np.ndarray:
+    # the last atom gets the remainder 1 - sum(w[:-1]), so weights whose
+    # float sum is a little below 1 lose no draws
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    u = rng.random((rows, n))
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    m = len(cum)
-    flat = idx + (np.arange(rows) * m)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * m).reshape(rows, m)
+    return rng.multinomial(n, w, size=rows)
 
 
 def resample_counts(weights, n: int, trials: int, seed: int,
@@ -33,8 +33,6 @@ def resample_counts(weights, n: int, trials: int, seed: int,
     if n <= 0:
         raise ValueError("sample size must be positive")
     w = np.asarray(weights, dtype=float)
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)
     jobs = []
     start = 0
     chunk_index = 0
@@ -46,18 +44,7 @@ def resample_counts(weights, n: int, trials: int, seed: int,
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(
-                lambda job: _chunk_counts(cum, n, seed, job[0], job[1]), jobs))
+                lambda job: _chunk_counts(w, n, seed, job[0], job[1]), jobs))
     else:
-        parts = [_chunk_counts(cum, n, seed, c, rows) for c, rows in jobs]
+        parts = [_chunk_counts(w, n, seed, c, rows) for c, rows in jobs]
     return np.concatenate(parts, axis=0)
-
-
-def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (pairwise summation via numpy)."""
-    values = np.asarray(values, dtype=float)
-    t = len(values)
-    mean = float(values.mean())
-    if t < 2:
-        return mean, 0.0
-    se = float(values.std(ddof=1) / np.sqrt(t))
-    return mean, se

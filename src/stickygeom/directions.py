@@ -6,10 +6,12 @@ Between breakpoints (atom directions, points where an atom's capped distance
 reaches pi, branch switches of graph distances) every atom contributes either
 a constant or cos(theta + delta_i), so each smooth piece is a single sinusoid
 plus a constant, c - R cos(theta - phi).  Its minimizer on the piece is the
-critical angle phi when that lies inside, else an endpoint.  Both minimizers
-share one per-piece closed form: the scalar one adds the critical angles to
-the breakpoint candidates and scores them exactly, the batched one used by
-the Monte Carlo paths takes the closed-form values for every row at once.
+critical angle phi when that lies inside, else an endpoint.  The pieces of
+a measure are stacked once into a `PieceTable` (one column per piece), and
+both minimizers share one closed form over the whole table: the scalar one
+adds the critical angles to the breakpoint candidates and scores them
+exactly, the batched one used by the Monte Carlo paths takes the
+closed-form values for blocks of rows at once.
 """
 from __future__ import annotations
 
@@ -31,16 +33,37 @@ from .spaces import (
 
 TWO_PI = 2.0 * PI
 TIE_TOL = 1e-12
+ROW_BLOCK = 256  # rows per block in batch_min_derivative; bounds its memory
 
 
 @dataclass
-class Piece:
-    lo: float
-    hi: float
-    col_a: np.ndarray  # atom coefficients of cos(theta)
-    col_b: np.ndarray  # atom coefficients of sin(theta)
-    col_c: np.ndarray  # constant contribution of capped atoms
-    edge: int | None = None
+class PieceTable:
+    """The smooth pieces of a direction system, stacked: piece j spans
+    [lo[j], hi[j]] (on edge edge[j] for graph directions, else -1) and
+    contributes c - a cos(theta) - b sin(theta) with atom coefficients in
+    column j of a, b and c."""
+
+    lo: np.ndarray    # (P,)
+    hi: np.ndarray    # (P,)
+    a: np.ndarray     # (m, P) atom coefficients of cos(theta)
+    b: np.ndarray     # (m, P) atom coefficients of sin(theta)
+    c: np.ndarray     # (m, P) constant contribution of capped atoms
+    edge: np.ndarray  # (P,)
+
+    @classmethod
+    def stack(cls, pieces, m: int) -> "PieceTable":
+        """Table from (lo, hi, col_a, col_b, col_c, edge) tuples."""
+        if not pieces:
+            empty = np.zeros((m, 0))
+            return cls(np.zeros(0), np.zeros(0), empty, empty, empty,
+                       np.zeros(0, dtype=int))
+        lo, hi, col_a, col_b, col_c, edge = zip(*pieces)
+        return cls(np.array(lo), np.array(hi), np.column_stack(col_a),
+                   np.column_stack(col_b), np.column_stack(col_c),
+                   np.array(edge))
+
+    def __len__(self) -> int:
+        return len(self.lo)
 
 
 @dataclass
@@ -52,7 +75,7 @@ class DirectionSystem:
     radii: np.ndarray              # (m,)
     candidates: list               # direction coords: enumeration or breakpoints
     pulls: np.ndarray              # (m, len(candidates)) pull of atom i at candidate
-    pieces: list[Piece] = field(default_factory=list)
+    pieces: PieceTable
     atom_dirs: list = field(default_factory=list)
     alpha: float | None = None
     edge_data: dict | None = None  # graph: per-edge per-atom endpoint distances
@@ -94,7 +117,7 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
         marg = spider_marginal(sp, mu)
         sub = build_system(sp.spider, marg)
         return DirectionSystem("book", sp, sub.radii, sub.candidates, sub.pulls,
-                               [], sub.atom_dirs)
+                               sub.pieces, sub.atom_dirs)
     ds = sp.directions
     radii = np.array([p.radius for p in mu.points()])
     dirs = [p.direction for p in mu.points()]
@@ -102,7 +125,8 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
         cands = list(range(ds.size))
         pulls = np.array([[r * math.cos(min(ds.distance(d, g), PI)) for g in cands]
                           for r, d in zip(radii, dirs)])
-        return DirectionSystem("finite", sp, radii, cands, pulls, [], dirs)
+        return DirectionSystem("finite", sp, radii, cands, pulls,
+                               PieceTable.stack([], len(radii)), dirs)
     if isinstance(ds, CircleDirections):
         return _build_circle(sp, ds, radii, dirs)
     return _build_graph(sp, ds, radii, dirs)
@@ -159,9 +183,9 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
                 delta = best_k * alpha - theta
                 col_a[i] = r * math.cos(delta)
                 col_b[i] = -r * math.sin(delta)
-        pieces.append(Piece(lo, hi, col_a, col_b, col_c))
-    return DirectionSystem("circle", sp, radii, cands, pulls, pieces, dirs,
-                           alpha=alpha)
+        pieces.append((lo, hi, col_a, col_b, col_c, -1))
+    return DirectionSystem("circle", sp, radii, cands, pulls,
+                           PieceTable.stack(pieces, m), dirs, alpha=alpha)
 
 
 def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
@@ -214,14 +238,15 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
                     delta = slope * dist - mid
                     col_a[i] = r * math.cos(delta)
                     col_b[i] = -r * math.sin(delta)
-            pieces.append(Piece(lo, hi, col_a, col_b, col_c, edge=eid))
+            pieces.append((lo, hi, col_a, col_b, col_c, eid))
     pulls = np.array([
         [0.0] * len(cand_coords) for _ in range(m)]) if m else np.zeros((0, 0))
     for i, (r, d) in enumerate(zip(radii, dirs)):
         for g, coord in enumerate(cand_coords):
             pulls[i][g] = r * math.cos(min(ds.distance(d, coord), PI))
-    return DirectionSystem("graph", sp, radii, cand_coords,
-                           np.asarray(pulls), pieces, dirs, edge_data=edge_data)
+    return DirectionSystem("graph", sp, radii, cand_coords, np.asarray(pulls),
+                           PieceTable.stack(pieces, m), dirs,
+                           edge_data=edge_data)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +262,20 @@ def _coord_key(system: DirectionSystem, coord):
     return c
 
 
-def _piece_minimum(piece: Piece, coeffs: np.ndarray):
-    """Closed-form minimum of c - a cos(theta) - b sin(theta) on one piece,
-    for each row of atom coefficients.
+def _piece_minimum(table: PieceTable, coeffs: np.ndarray):
+    """Closed-form minimum of c - a cos(theta) - b sin(theta) on every piece
+    of the table, for each row of atom coefficients (one matrix product per
+    coefficient; a 1-D row gives 1-D results).
 
-    Returns the critical angle theta* = lo + mod(atan2(b, a) - lo, 2 pi),
-    whether theta* lies in the piece (a flat row, a = b = 0, has none), and
-    the value c - hypot(a, b) there."""
-    a = coeffs @ piece.col_a
-    b = coeffs @ piece.col_b
+    Returns the critical angles theta* = lo + mod(atan2(b, a) - lo, 2 pi),
+    whether each theta* lies in its piece (a flat piece, a = b = 0, has
+    none), and the values c - hypot(a, b) there."""
+    a = coeffs @ table.a
+    b = coeffs @ table.b
     radius = np.hypot(a, b)
-    theta = piece.lo + np.mod(np.arctan2(b, a) - piece.lo, TWO_PI)
-    inside = (theta <= piece.hi + 1e-15) & (radius > 0.0)
-    return theta, inside, coeffs @ piece.col_c - radius
+    theta = table.lo + np.mod(np.arctan2(b, a) - table.lo, TWO_PI)
+    inside = (theta <= table.hi + 1e-15) & (radius > 0.0)
+    return theta, inside, coeffs @ table.c - radius
 
 
 def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
@@ -264,13 +290,11 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     for g, coord in enumerate(system.candidates):
         val = -math.fsum(wi * pi_ for wi, pi_ in zip(w, system.pulls[:, g]))
         entries.append((val, _coord_key(system, coord), coord))
-    for piece in system.pieces:
-        theta, inside, _ = _piece_minimum(piece, w)
-        if not inside:
-            continue
-        theta = float(theta)
-        coord = system.space.directions.canonical(
-            theta if piece.edge is None else (piece.edge, theta))
+    table = system.pieces
+    theta, inside, _ = _piece_minimum(table, w)
+    canonical = system.space.directions.canonical
+    for t, eid in zip(theta[inside].tolist(), table.edge[inside].tolist()):
+        coord = canonical(t if system.kind == "circle" else (eid, t))
         entries.append((system.derivative_at(w, coord),
                         _coord_key(system, coord), coord))
     best = min(e[0] for e in entries)
@@ -288,12 +312,17 @@ def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndar
     """Vectorized minimum derivative for rows of atom coefficients.
 
     Each row plays the role of (weight * radius-normalization) per atom, e.g.
-    resample counts / n.  Uses the closed form per smooth piece.
+    resample counts / n.  Rows go through the candidate pulls and the
+    stacked piece table in blocks of ROW_BLOCK, so memory stays
+    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    # min over candidates of -(c . pull) == -(max of c . pull)
-    best = -(coeffs @ system.pulls).max(axis=1)
-    for piece in system.pieces:
-        _, inside, value = _piece_minimum(piece, coeffs)
-        best = np.minimum(best, np.where(inside, value, np.inf))
+    best = np.empty(len(coeffs))
+    for start in range(0, len(coeffs), ROW_BLOCK):
+        x = coeffs[start:start + ROW_BLOCK]
+        _, inside, value = _piece_minimum(system.pieces, x)
+        # min over candidates of -(x . pull) == -(max of x . pull)
+        best[start:start + ROW_BLOCK] = np.minimum(
+            -(x @ system.pulls).max(axis=1),
+            np.where(inside, value, np.inf).min(axis=1, initial=np.inf))
     return best

@@ -85,16 +85,18 @@ def f_divergence(sp: Space, p: Measure, q: Measure, kind: FDivergence) -> float:
         pw[z] += w
     for z, w in q.atoms:
         qw[z] += w
-    total = 0.0
+    # the union is a set, whose order follows the points' hashes and so can
+    # change between processes; fsum makes the total independent of it
+    terms = []
     for z in pw.keys() | qw.keys():
         pz, qz = pw.get(z, 0.0), qw.get(z, 0.0)
         if qz > 0.0:
-            total += qz * kind(pz / qz)
+            terms.append(qz * kind(pz / qz))
         elif pz > 0.0:
             if math.isinf(kind.slope_at_infinity):
                 return math.inf
-            total += kind.slope_at_infinity * pz
-    total = max(total, 0.0)
+            terms.append(kind.slope_at_infinity * pz)
+    total = max(math.fsum(terms), 0.0)
     if kind.name == "tv":
         total = min(total, 1.0)
     return total

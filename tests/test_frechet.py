@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 import gen
 from stickygeom import frechet as F
 from stickygeom import spaces as S
-from stickygeom.directions import batch_min_derivative, build_system, min_derivative
+from stickygeom._mc import resample_counts
+from stickygeom.directions import (
+    ROW_BLOCK,
+    batch_min_derivative,
+    build_system,
+    min_derivative,
+)
 
 PI = math.pi
 
@@ -74,6 +80,21 @@ def test_scalar_vs_batch_minimizer_random():
         batch = float(batch_min_derivative(
             system, np.asarray(mu.weights())[None, :])[0])
         assert abs(scalar - batch) <= 1e-13 * (1.0 + abs(scalar))
+
+
+def test_batch_minimizer_row_blocks_match_scalar():
+    # more rows than one block, on a measure with hundreds of pieces
+    rng = np.random.default_rng(5)
+    sp = S.petersen_cone()
+    mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                        for w in rng.dirichlet(np.ones(48))])
+    system = build_system(sp, mu)
+    rows = resample_counts(mu.weights(), 40, ROW_BLOCK + 1, seed=7) / 40.0
+    batch = batch_min_derivative(system, rows)
+    assert batch.shape == (ROW_BLOCK + 1,)
+    for row, value in zip(rows, batch):
+        _, scalar = min_derivative(system, row)
+        assert abs(scalar - value) <= 1e-13 * (1.0 + abs(scalar))
 
 
 def test_cone_mean_examples(spider3, thirds):

@@ -161,6 +161,24 @@ def test_divergence_reference_values(spider3):
         == pytest.approx(2.0, abs=1e-12)
 
 
+def test_divergence_does_not_depend_on_atom_order(spider4):
+    rng = np.random.default_rng(37)
+    support = [gen.random_point(spider4, rng, allow_apex=False) for _ in range(24)]
+    for _ in range(10):
+        wp = rng.dirichlet(np.ones(len(support)))
+        wq = rng.dirichlet(np.ones(len(support)))
+        p_pairs = list(zip(support, wp))
+        q_pairs = list(zip(support, wq))
+        values = None
+        for _ in range(6):
+            p = S.measure(spider4, [p_pairs[i] for i in rng.permutation(len(p_pairs))])
+            q = S.measure(spider4, [q_pairs[i] for i in rng.permutation(len(q_pairs))])
+            got = [T.f_divergence(spider4, p, q, kind)
+                   for kind in T.BUILTIN_DIVERGENCES.values()]
+            assert values is None or got == values
+            values = got
+
+
 def test_tv_equals_half_l1(spider3):
     rng = np.random.default_rng(31)
     for _ in range(40):

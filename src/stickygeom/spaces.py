@@ -432,8 +432,9 @@ class Measure:
 
 
 def measure(sp: Space, pairs) -> Measure:
-    merged: dict[Point, float] = {}
-    order: list[Point] = []
+    # weights per point, in first-seen order; fsum makes a merged weight
+    # independent of the order in which the repeats are listed
+    merged: dict[Point, list[float]] = {}
     total = 0.0
     for raw_point, w in pairs:
         w = float(w)
@@ -443,17 +444,13 @@ def measure(sp: Space, pairs) -> Measure:
             p = point(sp, raw_point.direction, raw_point.radius, raw_point.euclidean)
         else:
             p = point(sp, *raw_point)
-        if p in merged:
-            merged[p] += w
-        else:
-            merged[p] = w
-            order.append(p)
+        merged.setdefault(p, []).append(w)
         total += w
-    if not order:
+    if not merged:
         raise ValueError("a measure needs at least one atom")
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
-    return Measure(tuple((p, merged[p]) for p in order))
+    return Measure(tuple((p, math.fsum(ws)) for p, ws in merged.items()))
 
 
 def dirac(sp: Space, p) -> Measure:

@@ -188,8 +188,9 @@ def _dir_key(direction):
 
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
-    """q-th Wasserstein distance by solving the transportation LP exactly
-    (rational pivoting up to 64x64, HiGHS with a duality-gap check beyond)."""
+    """q-th Wasserstein distance by solving the transportation LP: exactly up
+    to 64x64 atoms (a HiGHS basis certified in rational arithmetic, see
+    `_exact_transport`), by HiGHS with a duality-gap check beyond."""
     if order < 1.0:
         raise ValueError("Wasserstein order must be >= 1")
     xs, aw = p.points(), p.weights()
@@ -203,9 +204,36 @@ def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
 
 
 def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
-    """Transportation simplex in exact rational arithmetic with Bland's rule
-    (anti-cycling), returning the optimal total cost."""
-    m, n = len(a_weights), len(b_weights)
+    """Optimal total cost of the transportation LP in exact rational
+    arithmetic.
+
+    HiGHS solves the LP in floats. The support of its vertex, largest flow
+    first, is extended to a spanning tree of the row/column graph, which is a
+    transportation basis; its flows and reduced costs are then computed in
+    `Fraction`s. If both are nonnegative the basis is optimal as given.
+    If only some reduced cost is negative, the Bland's-rule simplex pivots on
+    from that basis. If the tree's flows are infeasible, or HiGHS fails, the
+    simplex starts from the northwest corner. The optimal value of the
+    rational LP is unique, so the start changes the time taken, not the
+    result. Certifying a float basis exactly follows Applegate, Cook, Dash and
+    Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
+    Lett. 2007)."""
+    a, b, cost = _rational_problem(a_weights, b_weights, cost_rows)
+    start = None
+    try:
+        vertex = _highs_transport(a_weights, b_weights, cost_rows)
+    except NumericalError:
+        pass
+    else:
+        start = _tree_flows(a, b, _spanning_tree(vertex.flows))
+    if start is None:
+        start = _northwest_corner(a, b)
+    return _transport_simplex(cost, start)
+
+
+def _rational_problem(a_weights, b_weights, cost_rows):
+    """Supplies, demands and costs as `Fraction`s, with the demands rescaled
+    to the total supply."""
     a = [Fraction(w) for w in a_weights]
     b = [Fraction(w) for w in b_weights]
     ta, tb = sum(a), sum(b)
@@ -215,20 +243,22 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
         # optimum beyond that scale
         scale = ta / tb
         b = [w * scale for w in b]
-    cost = [[Fraction(c) for c in row] for row in cost_rows]
+    return a, b, [[Fraction(c) for c in row] for row in cost_rows]
 
-    flow: dict[tuple[int, int], Fraction] = {}
-    basis: set[tuple[int, int]] = set()
+
+def _northwest_corner(a, b) -> dict[tuple[int, int], Fraction]:
+    """Feasible tree basis {cell: flow} by the northwest-corner rule."""
+    m, n = len(a), len(b)
+    flow = {}
     ra, rb = a[:], b[:]
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
         flow[(i, j)] = t
-        basis.add((i, j))
         ra[i] -= t
         rb[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return flow
         if i == m - 1:
             j += 1
         elif j == n - 1:
@@ -238,11 +268,72 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
         else:
             j += 1
 
+
+def _spanning_tree(flows: np.ndarray) -> list[tuple[int, int]]:
+    """m + n - 1 cells that form a spanning tree of the bipartite graph of
+    rows and columns. Cells are taken largest flow first, so the support of a
+    vertex stays in the tree; zero cells, in row-major order, connect what is
+    left."""
+    m, n = flows.shape
+    root = list(range(m + n))  # union-find over rows 0..m-1, columns m..
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    tree = []
+    for cell in np.argsort(-flows, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, n)
+        ri, rj = find(i), find(m + j)
+        if ri != rj:
+            root[ri] = rj
+            tree.append((i, j))
+            if len(tree) == m + n - 1:
+                break
+    return tree
+
+
+def _tree_flows(a, b, tree) -> dict[tuple[int, int], Fraction] | None:
+    """The unique flows {cell: flow} of a spanning-tree basis, found by
+    eliminating leaves, or None if one of them is negative."""
+    m = len(a)
+    left = a + b  # supply or demand not yet routed, per row then per column
+    cells: list[set] = [set() for _ in left]
+    for i, j in tree:
+        cells[i].add((i, j))
+        cells[m + j].add((i, j))
+    leaves = [k for k, c in enumerate(cells) if len(c) == 1]
+    flow = {}
+    while leaves:
+        k = leaves.pop()
+        if not cells[k]:
+            continue  # the last node: its cell went with its neighbour
+        (i, j), = cells[k]
+        t = left[k]
+        if t < 0:
+            return None
+        flow[(i, j)] = t
+        other = m + j if k == i else i
+        left[other] -= t
+        cells[k].clear()
+        cells[other].remove((i, j))
+        if len(cells[other]) == 1:
+            leaves.append(other)
+    return flow
+
+
+def _transport_simplex(cost, flow) -> Fraction:
+    """Transportation simplex in exact rational arithmetic with Bland's rule
+    (anti-cycling) from the feasible tree basis `flow` ({cell: flow},
+    updated in place), returning the optimal total cost."""
+    m, n = len(cost), len(cost[0])
     zero = Fraction(0)
     while True:
         by_row = defaultdict(list)
         by_col = defaultdict(list)
-        for (i0, j0) in basis:
+        for (i0, j0) in flow:
             by_row[i0].append(j0)
             by_col[j0].append(i0)
         u: list[Fraction | None] = [None] * m
@@ -265,15 +356,15 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
         for i0 in range(m):
             ui = u[i0]
             for j0 in range(n):
-                if (i0, j0) in basis:
+                if (i0, j0) in flow:
                     continue
-                if cost[i0][j0] - ui - v[j0] < 0:
+                if cost[i0][j0] < ui + v[j0]:  # reduced cost c - u - v < 0
                     entering = (i0, j0)
                     break
             if entering:
                 break
         if entering is None:
-            return sum(flow[e] * cost[e[0]][e[1]] for e in basis)
+            return sum(f * cost[i0][j0] for (i0, j0), f in flow.items())
         i_star, j_star = entering
         parent = {("r", i_star): None}
         queue = deque([("r", i_star)])
@@ -305,37 +396,43 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
         for c in plus:
             flow[c] += theta
         flow[entering] = theta
-        basis.add(entering)
-        basis.remove(leaving)
         del flow[leaving]
 
 
+class _LPValue(float):
+    """Optimal value of a float transportation LP. `flows` holds the m x n
+    flows of the vertex it was read from."""
+
+    flows: np.ndarray
+
+
 def _highs_transport(a_weights, b_weights, cost_rows) -> float:
+    """Optimal total cost of the transportation LP by the HiGHS dual simplex,
+    checked by its duality gap. The value carries the flows of the optimal
+    vertex (`_LPValue.flows`), from which `_exact_transport` starts."""
     from scipy import optimize, sparse
 
     m, n = len(a_weights), len(b_weights)
     c = np.asarray(cost_rows, dtype=float).ravel()
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        for j in range(n):
-            rows.append(i)
-            cols.append(i * n + j)
-            vals.append(1.0)
-            rows.append(m + j)
-            cols.append(i * n + j)
-            vals.append(1.0)
-    a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(m + n, m * n))
+    # cell k = i n + j appears in supply row i and demand row m + j
+    cells = np.arange(m * n)
+    a_eq = sparse.csr_matrix(
+        (np.ones(2 * m * n), (np.concatenate([cells // n, m + cells % n]),
+                              np.tile(cells, 2))),
+        shape=(m + n, m * n))
     rhs = np.concatenate([a_weights, b_weights])
     rhs[:m] *= np.sum(b_weights) / np.sum(a_weights)
     res = optimize.linprog(c, A_eq=a_eq, b_eq=rhs, bounds=(0, None),
-                           method="highs")
+                           method="highs-ds")
     if res.status != 0:
         raise NumericalError(f"transport LP failed: {res.message}")
     duals = res.eqlin.marginals
     gap = abs(float(res.fun) - float(rhs @ duals))
     if gap > 1e-10 * (1.0 + abs(float(res.fun))):
         raise NumericalError(f"transport LP duality gap {gap} too large")
-    return float(res.fun)
+    value = _LPValue(res.fun)
+    value.flows = res.x.reshape(m, n)
+    return value
 
 
 def support_diameter(sp: Space, p: Measure, q: Measure) -> float:

@@ -327,6 +327,20 @@ def test_measure_merges_duplicate_atoms(spider3):
     assert mu.atoms[0][1] == 0.5
 
 
+def test_measure_merged_weights_do_not_depend_on_atom_order():
+    sp = S.spider(4)
+    # seed 40: with += in input order, 72 of the 200 orders below moved a weight
+    rng = np.random.default_rng(40)
+    pts = [S.point(sp, j, 0.0) for j in range(3)]  # three atoms at the apex
+    pts += [S.point(sp, int(rng.integers(0, 4)), float(rng.uniform(0.1, 2.0)))
+            for _ in range(21)]
+    pairs = list(zip(pts, rng.dirichlet(np.ones(len(pts)))))
+    want = dict(S.measure(sp, pairs).atoms)
+    for _ in range(200):
+        mu = S.measure(sp, [pairs[i] for i in rng.permutation(len(pairs))])
+        assert dict(mu.atoms) == want
+
+
 def test_measure_weight_validation(spider3):
     with pytest.raises(ValueError, match="sum"):
         S.measure(spider3, [((0, 1.0), 0.5), ((1, 1.0), 0.3)])

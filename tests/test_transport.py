@@ -114,6 +114,96 @@ def test_exact_simplex_matches_highs():
         assert exact == pytest.approx(approx, abs=1e-9)
 
 
+def _random_lp(sp, rng, order, max_atoms=24):
+    """Weights and cost matrix of W_order between two random measures."""
+    p, q = (S.measure(sp, [(gen.random_point(sp, rng), w) for w in
+                           rng.dirichlet(np.ones(int(rng.integers(1, max_atoms + 1))))])
+            for _ in range(2))
+    cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
+            for x in p.points()]
+    return p.weights(), q.weights(), cost
+
+
+def _northwest_value(a_weights, b_weights, cost_rows):
+    a, b, cost = T._rational_problem(a_weights, b_weights, cost_rows)
+    return T._transport_simplex(cost, T._northwest_corner(a, b))
+
+
+def _record_simplex(monkeypatch):
+    """Collect the (starting, final) basis of every simplex run."""
+    runs = []
+    simplex = T._transport_simplex
+
+    def recording(cost, flow):
+        start = set(flow)
+        value = simplex(cost, flow)
+        runs.append((start, set(flow)))
+        return value
+
+    monkeypatch.setattr(T, "_transport_simplex", recording)
+    return runs
+
+
+def test_exact_transport_matches_northwest_simplex():
+    rng = np.random.default_rng(47)
+    for k in range(204):
+        sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
+              S.petersen_cone())[k % 3]
+        aw, bw, cost = _random_lp(sp, rng, (1.0, 2.0)[k // 3 % 2])
+        assert _exact_transport(aw, bw, cost) == _northwest_value(aw, bw, cost)
+
+
+def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
+    # across legs a spider's W_1 cost is r + s, so the LP has many optimal
+    # vertices; the tree of the one HiGHS returns here is feasible, but some
+    # reduced cost is negative
+    sp = S.spider(4)
+    rng = np.random.default_rng(2)
+    p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                           for w in rng.dirichlet(np.ones(8))]) for _ in range(2))
+    aw, bw = p.weights(), q.weights()
+    cost = [[S.cone_distance(sp, x, y) for y in q.points()] for x in p.points()]
+    want = _northwest_value(aw, bw, cost)
+    a, b, _ = T._rational_problem(aw, bw, cost)
+    runs = _record_simplex(monkeypatch)
+    assert _exact_transport(aw, bw, cost) == want
+    (start, final), = runs
+    assert start != set(T._northwest_corner(a, b))
+    assert final != start
+
+
+def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatch):
+    aw, bw = [0.7, 0.3], [0.4, 0.6]
+    cost = [[1.0, 2.0], [3.0, 1.5]]
+    # the tree {(0, 0), (1, 1), (1, 0)} sends all of row 0 into column 0,
+    # which needs less, so leaf elimination finds a negative flow
+    flows = np.array([[0.7, 0.0], [0.1, 0.2]])
+    a, b, _ = T._rational_problem(aw, bw, cost)
+    assert T._tree_flows(a, b, T._spanning_tree(flows)) is None
+
+    def vertex(a_weights, b_weights, cost_rows):
+        value = T._LPValue(1.15)
+        value.flows = flows
+        return value
+
+    want = _northwest_value(aw, bw, cost)
+    monkeypatch.setattr(T, "_highs_transport", vertex)
+    runs = _record_simplex(monkeypatch)
+    assert _exact_transport(aw, bw, cost) == want
+    assert runs[0][0] == set(T._northwest_corner(a, b))
+
+
+def test_exact_transport_survives_highs_failure(monkeypatch):
+    aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
+    want = _northwest_value(aw, bw, cost)
+
+    def failing(a_weights, b_weights, cost_rows):
+        raise T.NumericalError("transport LP failed")
+
+    monkeypatch.setattr(T, "_highs_transport", failing)
+    assert _exact_transport(aw, bw, cost) == want
+
+
 def test_large_instance_uses_highs(spider3):
     rng = np.random.default_rng(23)
     w = rng.dirichlet(np.ones(70))

@@ -96,18 +96,18 @@ class CovarianceMatrix:
         return float(np.max(np.abs(self.paper_form - self.centered_form)))
 
 
-def _pull_matrix(system, grid) -> np.ndarray:
-    cols = [system._pull_column(c) for c in grid]
-    return np.array(cols).T  # (m, len(grid))
+def _grid_pulls(sp: Cone, mu: Measure, grid) -> np.ndarray:
+    if not isinstance(sp, Cone):
+        raise ValueError("the direction CLT is defined on cones")
+    # column-major: the layout fixes the summation order of the matrix
+    # products below, and so the last bits of the reports
+    return np.asfortranarray(build_system(sp, mu).pull_matrix(grid))  # (m, g)
 
 
 def clt_covariance(sp: Cone, mu: Measure, grid) -> CovarianceMatrix:
     if not grid:
         raise ValueError("direction grid must be nonempty")
-    if not isinstance(sp, Cone):
-        raise ValueError("the direction CLT is defined on cones")
-    system = build_system(sp, mu)
-    pulls = _pull_matrix(system, grid)  # (m, g)
+    pulls = _grid_pulls(sp, mu, grid)
     w = np.asarray(mu.weights())
     paper = pulls.T @ (pulls * w[:, None])
     means = w @ pulls
@@ -131,10 +131,7 @@ def clt_simulate(sp: Cone, mu: Measure, grid, n: int, trials: int, seed: int,
     derivatives over the grid, with per-entry standard errors."""
     if trials < 2:
         raise ValueError("need at least two trials")
-    if not isinstance(sp, Cone):
-        raise ValueError("the direction CLT is defined on cones")
-    system = build_system(sp, mu)
-    pulls = _pull_matrix(system, grid)
+    pulls = _grid_pulls(sp, mu, grid)
     w = np.asarray(mu.weights())
     counts = resample_counts(mu.weights(), n, trials, seed, threads)
     emp = -(counts @ pulls) / float(n)

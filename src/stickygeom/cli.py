@@ -86,9 +86,7 @@ def _shallow_measure_errors(data, ptr: str) -> list[str]:
 
 
 def _coord_from_json(value):
-    if isinstance(value, list):
-        return (value[0], value[1])
-    return value
+    return tuple(value) if isinstance(value, list) else value
 
 
 def validate(config_text: str, command: str | None = None,
@@ -181,6 +179,23 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
         errors.append(f"/space: {cmd} is not supported on open books")
     if cmd == "perturb" and "y" not in params:
         errors.append("/parameters/y: perturbation point required")
+    y = params.get("y")
+    if space is not None and cmd in ("perturb", "divergence") and y is not None:
+        try:  # point() canonicalizes the direction of a point off the apex
+            if not isinstance(y, dict):
+                raise ValueError("must be an object with dir and r")
+            point_from_json(space, y)
+        except (TypeError, ValueError) as exc:
+            errors.append(f"/parameters/y: {exc}")
+    grid = params.get("grid")
+    if isinstance(space, Cone) and cmd in ("derivs", "clt") and grid is not None:
+        if not isinstance(grid, list) or not grid:
+            errors.append("/parameters/grid: non-empty list of directions required")
+        for k, coord in enumerate(grid if isinstance(grid, list) else ()):
+            try:
+                space.directions.canonical(_coord_from_json(coord))
+            except ValueError as exc:
+                errors.append(f"/parameters/grid/{k}: {exc}")
     if cmd in ("sample-sim", "modulation"):
         grid = params.get("n_grid")
         if not isinstance(grid, list) or not grid \
@@ -197,7 +212,7 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
             errors.append("/parameters/n: positive integer sample size required")
         if space is not None and isinstance(space, Cone) \
                 and not isinstance(space.directions, FiniteDirections) \
-                and "grid" not in params:
+                and params.get("grid") is None:
             errors.append("/parameters/grid: direction grid required for "
                           "non-finite direction spaces")
     kind = params.get("kind")

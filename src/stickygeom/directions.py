@@ -1,7 +1,10 @@
 """Internal machinery for minimizing direction derivatives of the Frechet
 function at the cone point.
 
-The derivative in direction sigma is -sum_i w_i r_i cos(d_pi(sigma, dir_i)).
+The derivative in direction sigma is -sum_i w_i pull_i(sigma) with the pull
+r_i cos(min(d(sigma, dir_i), pi)).  `DirectionSystem.pull_matrix` is the one
+evaluator of pulls; every derivative is an exact fsum over one of its columns.
+
 Between breakpoints (atom directions, points where an atom's capped distance
 reaches pi, branch switches of graph distances) every atom contributes either
 a constant or cos(theta + delta_i), so each smooth piece is a single sinusoid
@@ -70,42 +73,52 @@ class PieceTable:
 class DirectionSystem:
     """Per-measure support structure for direction-derivative queries."""
 
-    kind: str                      # finite | circle | graph | book
-    space: Space
+    kind: str                      # finite | circle | graph
+    space: Space                   # a cone
     radii: np.ndarray              # (m,)
     candidates: list               # direction coords: enumeration or breakpoints
-    pulls: np.ndarray              # (m, len(candidates)) pull of atom i at candidate
+    pulls: np.ndarray              # (m, len(candidates)) pull_matrix(candidates)
     pieces: PieceTable
     atom_dirs: list = field(default_factory=list)
-    alpha: float | None = None
-    edge_data: dict | None = None  # graph: per-edge per-atom endpoint distances
+    # graph: (ra, rb), each (edges, m): distance from each edge's first and
+    # second endpoint to each atom's direction
+    edge_data: tuple | None = None
+
+    def pull_matrix(self, coords) -> np.ndarray:
+        """Pulls r_i cos(min(d(coord, dir_i), pi)) of every atom at every
+        coordinate, as an (m, len(coords)) array.  Coordinates are
+        canonicalized first, so one off the direction space raises
+        ValueError."""
+        ds = self.space.directions
+        canon = [ds.canonical(c) for c in coords]
+        if self.kind == "finite":
+            dist = np.asarray(ds.angles).T[np.ix_(self.atom_dirs, canon)]
+        elif self.kind == "circle":
+            raw = np.fmod(np.abs(np.array(canon) - np.array(self.atom_dirs)[:, None]),
+                          ds.alpha)
+            dist = np.minimum(raw, ds.alpha - raw)
+        else:
+            eids = np.array([e for e, _ in canon], dtype=int)
+            offs = np.array([o for _, o in canon], dtype=float)
+            length = np.array([e[2] for e in ds.edges])[eids]
+            ra, rb = self.edge_data
+            dist = np.minimum(ra[eids].T + offs, rb[eids].T + (length - offs))
+            # an atom on the coordinate's own edge is also reached directly
+            atom_eid, atom_off = np.array(self.atom_dirs).reshape(-1, 2).T[:, :, None]
+            dist = np.minimum(dist, np.where(atom_eid == eids, np.abs(offs - atom_off),
+                                             np.inf))
+        return self.radii[:, None] * np.cos(np.minimum(dist, PI))
+
+    def derivatives(self, weights, coords=None) -> list[float]:
+        """Exact derivatives -fsum_i w_i pull_i at each coordinate (default:
+        the candidates, read from the stored pulls)."""
+        pulls = self.pulls if coords is None else self.pull_matrix(coords)
+        prods = np.asarray(weights, dtype=float)[:, None] * pulls
+        return [-math.fsum(col) for col in prods.T.tolist()]
 
     def derivative_at(self, weights, coord) -> float:
-        """Exact scalar derivative -sum w_i * pull_i(coord)."""
-        return -math.fsum(w * p for w, p in zip(weights, self._pull_column(coord)))
-
-    def _pull_column(self, coord):
-        if self.kind in ("finite", "book"):
-            ds: FiniteDirections = self.space.directions if self.kind == "finite" \
-                else self.space.spider.directions
-            c = ds.canonical(coord)
-            return [r * math.cos(min(ds.distance(c, d), PI))
-                    for r, d in zip(self.radii, self.atom_dirs)]
-        if self.kind == "circle":
-            ds = self.space.directions
-            t = ds.canonical(coord)
-            return [r * math.cos(min(ds.distance(t, d), PI))
-                    for r, d in zip(self.radii, self.atom_dirs)]
-        eid, off = coord
-        u, v, length = self.space.directions.edges[eid]
-        ra, rb = self.edge_data[eid]
-        cols = []
-        for i, (r, d) in enumerate(zip(self.radii, self.atom_dirs)):
-            dist = min(ra[i] + off, rb[i] + (length - off))
-            if d[0] == eid:
-                dist = min(dist, abs(off - d[1]))
-            cols.append(r * math.cos(min(dist, PI)))
-        return cols
+        """Exact derivative at one coordinate."""
+        return self.derivatives(weights, [coord])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +126,22 @@ class DirectionSystem:
 # ---------------------------------------------------------------------------
 
 def build_system(sp: Space, mu: Measure) -> DirectionSystem:
+    """Direction system of a cone measure.  An open book has none of its own:
+    this is the system of its spider marginal, whose weights go with it."""
     if isinstance(sp, OpenBook):
-        marg = spider_marginal(sp, mu)
-        sub = build_system(sp.spider, marg)
-        return DirectionSystem("book", sp, sub.radii, sub.candidates, sub.pulls,
-                               sub.pieces, sub.atom_dirs)
+        return build_system(sp.spider, spider_marginal(sp, mu))
     ds = sp.directions
     radii = np.array([p.radius for p in mu.points()])
     dirs = [p.direction for p in mu.points()]
     if isinstance(ds, FiniteDirections):
-        cands = list(range(ds.size))
-        pulls = np.array([[r * math.cos(min(ds.distance(d, g), PI)) for g in cands]
-                          for r, d in zip(radii, dirs)])
-        return DirectionSystem("finite", sp, radii, cands, pulls,
-                               PieceTable.stack([], len(radii)), dirs)
-    if isinstance(ds, CircleDirections):
-        return _build_circle(sp, ds, radii, dirs)
-    return _build_graph(sp, ds, radii, dirs)
+        system = DirectionSystem("finite", sp, radii, list(range(ds.size)), None,
+                                 PieceTable.stack([], len(radii)), dirs)
+    elif isinstance(ds, CircleDirections):
+        system = _build_circle(sp, ds, radii, dirs)
+    else:
+        system = _build_graph(sp, ds, radii, dirs)
+    system.pulls = system.pull_matrix(system.candidates)
+    return system
 
 
 def _wrap_sorted_unique(values, period):
@@ -157,8 +169,6 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
     if not bps:
         bps.add(0.0)
     cands = _wrap_sorted_unique(bps, alpha)
-    pulls = np.array([[r * math.cos(min(ds.distance(d, g), PI)) for g in cands]
-                      for r, d in zip(radii, dirs)])
     pieces = []
     m = len(radii)
     for idx, lo in enumerate(cands):
@@ -184,19 +194,20 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
                 col_a[i] = r * math.cos(delta)
                 col_b[i] = -r * math.sin(delta)
         pieces.append((lo, hi, col_a, col_b, col_c, -1))
-    return DirectionSystem("circle", sp, radii, cands, pulls,
-                           PieceTable.stack(pieces, m), dirs, alpha=alpha)
+    return DirectionSystem("circle", sp, radii, cands, None,
+                           PieceTable.stack(pieces, m), dirs)
 
 
 def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
     m = len(radii)
-    edge_data = {}
+    ra_rows, rb_rows = [], []
     pieces = []
     cand_coords: list[tuple[int, float]] = []
     for eid, (u, v, length) in enumerate(ds.edges):
         ra = [ds.vertex_to_coord(u, d) for d in dirs]
         rb = [ds.vertex_to_coord(v, d) for d in dirs]
-        edge_data[eid] = (ra, rb)
+        ra_rows.append(ra)
+        rb_rows.append(rb)
         cuts = {0.0, length}
         for i, r in enumerate(radii):
             if r <= 0.0:
@@ -239,28 +250,15 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
                     col_a[i] = r * math.cos(delta)
                     col_b[i] = -r * math.sin(delta)
             pieces.append((lo, hi, col_a, col_b, col_c, eid))
-    pulls = np.array([
-        [0.0] * len(cand_coords) for _ in range(m)]) if m else np.zeros((0, 0))
-    for i, (r, d) in enumerate(zip(radii, dirs)):
-        for g, coord in enumerate(cand_coords):
-            pulls[i][g] = r * math.cos(min(ds.distance(d, coord), PI))
-    return DirectionSystem("graph", sp, radii, cand_coords, np.asarray(pulls),
-                           PieceTable.stack(pieces, m), dirs,
-                           edge_data=edge_data)
+    edge_data = (np.array(ra_rows).reshape(len(ds.edges), m),
+                 np.array(rb_rows).reshape(len(ds.edges), m))
+    return DirectionSystem("graph", sp, radii, cand_coords, None,
+                           PieceTable.stack(pieces, m), dirs, edge_data)
 
 
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
-
-def _coord_key(system: DirectionSystem, coord):
-    if system.kind in ("finite", "book"):
-        return (coord,)
-    if system.kind == "circle":
-        return (system.space.directions.canonical(coord),)
-    c = system.space.directions.canonical(coord)
-    return c
-
 
 def _piece_minimum(table: PieceTable, coeffs: np.ndarray):
     """Closed-form minimum of c - a cos(theta) - b sin(theta) on every piece
@@ -284,28 +282,20 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     Breakpoints are always candidates (the derivative is non-smooth there);
     each smooth piece adds its closed-form critical angle when that lies
     inside the piece.  Every candidate is scored with the exact derivative,
-    and ties within TIE_TOL go to the smallest coordinate."""
+    and ties within TIE_TOL go to the smallest canonical coordinate."""
     w = np.asarray(weights, dtype=float)
-    entries = []
-    for g, coord in enumerate(system.candidates):
-        val = -math.fsum(wi * pi_ for wi, pi_ in zip(w, system.pulls[:, g]))
-        entries.append((val, _coord_key(system, coord), coord))
     table = system.pieces
     theta, inside, _ = _piece_minimum(table, w)
     canonical = system.space.directions.canonical
-    for t, eid in zip(theta[inside].tolist(), table.edge[inside].tolist()):
-        coord = canonical(t if system.kind == "circle" else (eid, t))
-        entries.append((system.derivative_at(w, coord),
-                        _coord_key(system, coord), coord))
-    best = min(e[0] for e in entries)
+    critical = [canonical(t if system.kind == "circle" else (eid, t))
+                for t, eid in zip(theta[inside].tolist(), table.edge[inside].tolist())]
+    coords = system.candidates + critical
+    values = system.derivatives(w) + system.derivatives(w, critical)
+    best = min(values)
     tol = TIE_TOL * (1.0 + abs(best))
-    tied = [e for e in entries if e[0] <= best + tol]
-    tied.sort(key=lambda e: e[1])
-    _, _, coord = tied[0]
-    if system.kind in ("finite", "book"):
-        return coord, min(e[0] for e in tied if e[1] == tied[0][1])
-    # return the exact value at the winning coordinate
-    return coord, system.derivative_at(w, coord)
+    _, g = min((canonical(coords[g]), g) for g, v in enumerate(values)
+               if v <= best + tol)
+    return coords[g], values[g]
 
 
 def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndarray:

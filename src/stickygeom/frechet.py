@@ -84,10 +84,13 @@ def derivative_profile(sp: Cone, mu: Measure, directions=None) -> DerivativeProf
     argmin, min_value = min_derivative(system, w)
     if directions is None:
         directions = list(system.candidates)
+        values = system.derivatives(w)
         if argmin not in directions:
             directions.append(argmin)
-    values = tuple(system.derivative_at(w, c) for c in directions)
-    return DerivativeProfile(tuple(directions), values, argmin, min_value,
+            values.append(min_value)  # the exact derivative at argmin
+    else:
+        values = system.derivatives(w, directions)
+    return DerivativeProfile(tuple(directions), tuple(values), argmin, min_value,
                              lipschitz_L(sp, mu, cone_point(sp)))
 
 
@@ -157,10 +160,6 @@ class PullLipschitzReport:
     grid_value: float
     refined_value: float
     boundary_value: float
-
-    @property
-    def grid_refinement_error(self) -> float:
-        return self.value - self.grid_value
 
 
 def c_kappa_epsilon_report(kappa: float, eps: float, grid: int = 401,

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -41,7 +40,10 @@ class FiniteDirections:
         return self.angles[a][b]
 
     def canonical(self, coord) -> int:
-        c = int(coord)
+        try:
+            c = int(coord)
+        except (TypeError, ValueError, OverflowError):
+            c = -1
         if c != coord or not 0 <= c < self.size:
             raise ValueError(f"direction index {coord!r} out of range 0..{self.size - 1}")
         return c
@@ -64,7 +66,10 @@ class CircleDirections:
         return min(d, self.alpha - d)
 
     def canonical(self, coord) -> float:
-        t = float(coord)
+        try:
+            t = float(coord)
+        except (TypeError, ValueError):
+            raise ValueError(f"circle coordinate {coord!r} is not a number") from None
         if not math.isfinite(t):
             raise ValueError(f"circle coordinate {coord!r} is not finite")
         t = math.fmod(t, self.alpha)
@@ -119,25 +124,19 @@ class GraphDirections:
 
     def canonical(self, coord) -> tuple[int, float]:
         try:
-            eid, off = coord
-        except (TypeError, ValueError):
-            raise ValueError(f"graph coordinate {coord!r} is not an (edge, offset) pair")
-        eid = int(eid)
-        if not 0 <= eid < len(self.edges):
-            raise ValueError(f"edge id {eid} out of range 0..{len(self.edges) - 1}")
+            raw_eid, off = coord
+            eid, off = int(raw_eid), float(off)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"graph coordinate {coord!r} is not an (edge, offset) pair") from None
+        if eid != raw_eid or not 0 <= eid < len(self.edges):
+            raise ValueError(f"edge id {raw_eid!r} is not one of 0..{len(self.edges) - 1}")
         u, v, length = self.edges[eid]
-        off = float(off)
-        if off < 0.0:
-            if off < -COORD_TOL:
-                raise ValueError(f"offset {off} below 0 on edge {eid}")
-            off = 0.0
-        if off > length:
-            if off > length + COORD_TOL:
-                raise ValueError(f"offset {off} beyond edge {eid} of length {length}")
-            off = length
-        if off == 0.0:
+        if not -COORD_TOL <= off <= length + COORD_TOL:  # also rejects nan
+            raise ValueError(f"offset {off} is off edge {eid} of length {length}")
+        if off <= 0.0:
             return self._vertex_home[u]
-        if off == length:
+        if off >= length:
             return self._vertex_home[v]
         return (eid, off)
 
@@ -470,11 +469,9 @@ def spider_marginal(sp: OpenBook, mu: Measure) -> Measure:
 
 def direction_distance(ds: DirectionSpace, a, b) -> float:
     """Raw direction-space distance (not capped at pi)."""
-    if isinstance(ds, FiniteDirections):
-        return ds.distance(ds.canonical(a), ds.canonical(b))
-    if isinstance(ds, CircleDirections):
-        return ds.distance(ds.canonical(a), ds.canonical(b))
-    return ds.distance(a, b)
+    if isinstance(ds, GraphDirections):
+        return ds.distance(a, b)  # canonicalizes its arguments itself
+    return ds.distance(ds.canonical(a), ds.canonical(b))
 
 
 def _cone_dist(ds: DirectionSpace, x: Point, y: Point) -> float:
@@ -812,7 +809,7 @@ def point_to_json(sp: Space, p: Point) -> dict:
 def point_from_json(sp: Space, data: dict) -> Point:
     direction = data.get("dir", 0)
     if isinstance(direction, list):
-        direction = (direction[0], direction[1])
+        direction = tuple(direction)
     return point(sp, direction, data.get("r", 0.0), data.get("eu"))
 
 
@@ -824,7 +821,3 @@ def measure_to_json(sp: Space, mu: Measure) -> dict:
 def measure_from_json(sp: Space, data: dict) -> Measure:
     return measure(sp, [(point_from_json(sp, a["point"]), a["weight"])
                         for a in data["atoms"]])
-
-
-def json_roundtrip(sp: Space) -> str:
-    return json.dumps(space_to_json(sp), sort_keys=True)

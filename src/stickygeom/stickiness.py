@@ -69,7 +69,7 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
         system = build_system(sp, mu)
         w = mu.weights()
         argmin, c_min = min_derivative(system, w)
-        derivs = tuple((c, system.derivative_at(w, c)) for c in system.candidates)
+        derivs = tuple(zip(system.candidates, system.derivatives(w)))
         pc = pull_condition(sp, mu)
         mean = mean_from_min_derivative(sp, argmin, c_min)
     if c_min > tol:
@@ -103,8 +103,9 @@ def kale_folded_moment(sp: Cone, mu: Measure, theta: float) -> float:
 
 
 def max_kale_folded_moment(sp: Cone, mu: Measure) -> tuple[float, float]:
-    """Maximizing angle and value of the folded moment (breakpoint plus
-    per-piece search); stickiness holds iff the maximum is negative."""
+    """Maximizing angle and value of the folded moment (the smallest
+    direction derivative over breakpoints and closed-form critical angles,
+    negated); stickiness holds iff the maximum is negative."""
     argmin, value = min_derivative(build_system(sp, mu), mu.weights())
     return argmin, -value
 
@@ -189,8 +190,7 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     if y.radius == 0.0:
         return 1.0  # mixing with the apex mass never unsticks
     if isinstance(sp.directions, FiniteDirections):
-        w = mu.weights()
-        vals = [system.derivative_at(w, j) for j in range(sp.directions.size)]
+        vals = system.derivatives(mu.weights())  # candidates: every direction
         pulls = [pull(sp, j, y) for j in range(sp.directions.size)]
         return _finite_threshold(vals, pulls)
 
@@ -256,6 +256,10 @@ def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
     the seed and independent of the thread count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if isinstance(sp, OpenBook):
+        # the mean leaves the spine iff the spider marginal's mean leaves the
+        # apex; atoms that differ only off the spider merge there
+        sp, mu = sp.spider, spider_marginal(sp, mu)
     system = build_system(sp, mu)
     counts = resample_counts(mu.weights(), n, trials, seed, threads)
     # a tied resample has smallest derivative zero up to rounding, and the

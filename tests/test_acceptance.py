@@ -51,7 +51,8 @@ def _brute_force_min_value(sp, mu, n_dirs=720, rounds=8):
     Along any fixed direction the Frechet function is a quadratic in the
     radius, so evaluations at three radii pin down the exact ray minimum;
     what remains is a dense direction grid with local refinement of every
-    directional basin."""
+    directional basin.  All basins are refined together: each round
+    evaluates a (seeds x 9) stencil as one batch."""
     ds = sp.directions
     pts = mu.points()
     w = np.asarray(mu.weights())
@@ -91,6 +92,24 @@ def _brute_force_min_value(sp, mu, n_dirs=720, rounds=8):
                 out[:, i] = np.minimum(out[:, i], np.abs(offs - p.direction[1]))
         return out
 
+    def refine(d0: np.ndarray, h: float, ang_of, clip=None) -> float:
+        # `rounds` rounds of a 9-point stencil around every seed at once;
+        # each seed moves to its stencil minimum and the stencil shrinks 4x
+        best = math.inf
+        rows = np.arange(len(d0))
+        for _ in range(rounds):
+            cands = d0[:, None] + np.linspace(-h, h, 9)
+            if clip is not None:
+                cands = np.clip(cands, 0.0, clip)
+            # one (9, atoms) block per seed, so each stencil's sums run as
+            # in a one-seed batch
+            cvals = ray_min_batch(ang_of(cands.ravel()).reshape(*cands.shape, len(pts)))
+            k = np.argmin(cvals, axis=1)
+            d0 = cands[rows, k]
+            best = min(best, float(cvals[rows, k].min(initial=math.inf)))
+            h /= 4.0
+        return best
+
     if isinstance(ds, S.FiniteDirections):
         ang = np.array([[min(ds.distance(g, p.direction), PI)
                          if p.radius > 0 else 0.0 for p in pts]
@@ -105,16 +124,7 @@ def _brute_force_min_value(sp, mu, n_dirs=720, rounds=8):
         h0 = ds.alpha / n_dirs
         seeds = [g for g in range(n)
                  if vals[g] <= vals[(g - 1) % n] and vals[g] <= vals[(g + 1) % n]]
-        for g in seeds:
-            d0, h = float(thetas[g]), h0
-            for _ in range(rounds):
-                cands = d0 + np.linspace(-h, h, 9)
-                cvals = ray_min_batch(circle_ang(cands))
-                k = int(np.argmin(cvals))
-                d0 = float(cands[k])
-                best = min(best, float(cvals[k]))
-                h /= 4.0
-        return best
+        return min(best, refine(thetas[seeds], h0, circle_ang))
 
     best = math.inf
     per_edge = max(12, n_dirs // len(ds.edges))
@@ -122,19 +132,11 @@ def _brute_force_min_value(sp, mu, n_dirs=720, rounds=8):
         offs = np.linspace(0.0, length, per_edge)
         vals = ray_min_batch(graph_ang(eid, offs))
         best = min(best, float(vals.min()))
-        h0 = length / (per_edge - 1)
-        for k in range(per_edge):
-            left = vals[k - 1] if k > 0 else math.inf
-            right = vals[k + 1] if k + 1 < per_edge else math.inf
-            if vals[k] <= left and vals[k] <= right:
-                d0, h = float(offs[k]), h0
-                for _ in range(rounds):
-                    cands = np.clip(d0 + np.linspace(-h, h, 9), 0.0, length)
-                    cvals = ray_min_batch(graph_ang(eid, cands))
-                    j = int(np.argmin(cvals))
-                    d0 = float(cands[j])
-                    best = min(best, float(cvals[j]))
-                    h /= 4.0
+        seeds = [k for k in range(per_edge)
+                 if vals[k] <= (vals[k - 1] if k > 0 else math.inf)
+                 and vals[k] <= (vals[k + 1] if k + 1 < per_edge else math.inf)]
+        best = min(best, refine(offs[seeds], length / (per_edge - 1),
+                                lambda o, e=eid: graph_ang(e, o), clip=length))
     return best
 
 

@@ -214,6 +214,39 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+BAD_DIRECTIONS = [
+    # (fixture, command, parameter, value, pointer)
+    ("petersen_cone.json", "derivs", "grid", [[0, 99.0]], "/parameters/grid/0"),
+    ("petersen_cone.json", "derivs", "grid", [[0, 0.5], [-1, 0.5]],
+     "/parameters/grid/1"),
+    ("petersen_cone.json", "clt", "grid", [[0]], "/parameters/grid/0"),
+    ("petersen_cone.json", "perturb", "y", {"dir": [15, 0.5], "r": 1.0},
+     "/parameters/y"),
+    ("spider3_thirds.json", "derivs", "grid", [0, 3], "/parameters/grid/1"),
+    ("spider3_thirds.json", "clt", "grid", [-1], "/parameters/grid/0"),
+    ("spider3_thirds.json", "perturb", "y", {"dir": 7, "r": 2.0}, "/parameters/y"),
+    ("openbook3_2.json", "divergence", "y", {"dir": 3, "r": 1.0, "eu": [0.0]},
+     "/parameters/y"),
+    ("kale_3pi_thirds.json", "derivs", "grid", [0.5, math.nan], "/parameters/grid/1"),
+    ("kale_3pi_thirds.json", "clt", "grid", [math.inf], "/parameters/grid/0"),
+    ("kale_2pi.json", "derivs", "grid", ["east"], "/parameters/grid/0"),
+]
+
+
+@pytest.mark.parametrize("name,cmd,key,value,pointer", BAD_DIRECTIONS)
+def test_bad_direction_is_a_validation_error(tmp_path, capsys, name, cmd, key,
+                                             value, pointer):
+    data = json.loads(read_fixture(name))
+    data["parameters"][key] = value
+    if cmd == "divergence":
+        del data["measure2"]  # so the y, t form runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main([cmd, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config{pointer}: " in err, err
+
+
 def test_missing_config_file():
     assert main(["classify", "--config", "/nonexistent/cfg.json"]) == 2
 

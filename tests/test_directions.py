@@ -1,0 +1,77 @@
+import math
+
+import numpy as np
+import pytest
+
+import gen
+from stickygeom import frechet as F
+from stickygeom import spaces as S
+from stickygeom import stickiness as ST
+from stickygeom.directions import build_system, min_derivative
+
+PI = math.pi
+
+SPACE_MAKERS = {
+    "finite": gen.random_finite_cone,
+    "kale": lambda rng: S.kale(float(rng.uniform(2.0 * PI, 3.5 * PI))),
+    "plane": lambda rng: S.kale(2.0 * PI),
+    "tree": gen.random_tree_graph_cone,
+    "petersen": lambda rng: S.petersen_cone(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPACE_MAKERS))
+def test_one_pull_formula(kind):
+    """The stored candidate pulls and derivatives are the one-column pulls
+    and derivatives bit for bit, and each pull is the reference pull."""
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        sp = SPACE_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng)
+        system = build_system(sp, mu)
+        w = mu.weights()
+        derivs = system.derivatives(w)
+        for g, coord in enumerate(system.candidates):
+            column = system.pull_matrix([coord])[:, 0]
+            assert column.tobytes() == system.pulls[:, g].tobytes(), (kind, coord)
+            assert derivs[g] == system.derivative_at(w, coord), (kind, coord)
+            for (z, _), p in zip(mu.atoms, column):
+                assert abs(p - F.pull(sp, coord, z)) <= 1e-15 * z.radius, (kind, coord)
+
+
+def test_pull_matrix_rejects_off_edge_coordinates():
+    sp = S.petersen_cone()
+    mu = S.measure(sp, [(((0, 0.5), 1.0), 0.5), (((7, 1.0), 0.7), 0.5)])
+    system = build_system(sp, mu)
+    length = sp.directions.edges[0][2]
+    assert system.pull_matrix([(0, length)]).shape == (2, 1)
+    for coord in [(0, 99.0), (0, -0.5), (-1, 0.5), (15, 0.5), (0, math.nan), (0,)]:
+        with pytest.raises(ValueError):
+            system.pull_matrix([coord])
+        with pytest.raises(ValueError):
+            system.derivative_at(mu.weights(), coord)
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+def test_open_book_system_is_its_spider_marginal(sticky):
+    sp = S.open_book(3, 2)
+    pages = [(0, 1.0), (1, 1.0), (2, 1.0)] if sticky else [(0, 2.0), (1, 0.5), (2, 0.5)]
+    mu = S.measure(sp, [(S.point(sp, j, r, (float(j),)), 1 / 3) for j, r in pages])
+    page, c_min = min_derivative(build_system(sp, mu), mu.weights())
+    rep = ST.classify(sp, mu)
+    assert (page, c_min) == (rep.argmin_direction, rep.c_min)
+    assert rep.label == ("sticky" if sticky else "nonsticky")
+
+
+def test_open_book_sample_sticking_merges_the_marginal():
+    """Atoms on one page at one radius merge in the spider marginal; the
+    resample is drawn from that marginal."""
+    sp = S.open_book(3, 2)
+    mu = S.measure(sp, [(S.point(sp, 0, 1.0, (0.0,)), 0.25),
+                        (S.point(sp, 0, 1.0, (1.0,)), 0.25),
+                        (S.point(sp, 1, 1.0, (0.0,)), 0.25),
+                        (S.point(sp, 2, 1.0, (0.0,)), 0.25)])
+    res = ST.sample_sticking(sp, mu, 20, 400, seed=5)
+    marg = S.spider_marginal(sp, mu)
+    assert res == ST.sample_sticking(sp.spider, marg, 20, 400, seed=5)
+    assert 0.0 < res.p_hat < 1.0

@@ -78,8 +78,8 @@ def _shallow_measure_errors(data, ptr: str) -> list[str]:
             errors.append(f"{ptr}/atoms/{i}/point: must be an object")
             continue
         r = pt.get("r")
-        if not isinstance(r, (int, float)) or r < -1e-12:
-            errors.append(f"{ptr}/atoms/{i}/point/r: radius must be >= 0")
+        if not isinstance(r, (int, float)) or not math.isfinite(r) or r < -1e-12:
+            errors.append(f"{ptr}/atoms/{i}/point/r: radius must be finite and >= 0")
     if not errors and abs(total - 1.0) > 1e-12:
         errors.append(f"{ptr}/atoms: weights must sum to 1 (got {total!r})")
     return errors

@@ -10,8 +10,11 @@ reaches pi, branch switches of graph distances) every atom contributes either
 a constant or cos(theta + delta_i), so each smooth piece is a single sinusoid
 plus a constant, c - R cos(theta - phi).  Its minimizer on the piece is the
 critical angle phi when that lies inside, else an endpoint.  The pieces of
-a measure are stacked once into a `PieceTable` (one column per piece), and
-both minimizers share one closed form over the whole table: the scalar one
+a measure are built once, as arrays: the circle and graph builders find the
+breakpoints, then give every atom's distance to every piece's midpoint and
+its phase there as (atoms x pieces) arrays, and `_coefficients` turns those
+into a `PieceTable` (one column per piece) by one rule.  Both minimizers
+share one closed form over the whole table: the scalar one
 adds the critical angles to the breakpoint candidates and scores them
 exactly, the batched one used by the Monte Carlo paths takes the
 closed-form values for blocks of rows at once.
@@ -52,18 +55,6 @@ class PieceTable:
     b: np.ndarray     # (m, P) atom coefficients of sin(theta)
     c: np.ndarray     # (m, P) constant contribution of capped atoms
     edge: np.ndarray  # (P,)
-
-    @classmethod
-    def stack(cls, pieces, m: int) -> "PieceTable":
-        """Table from (lo, hi, col_a, col_b, col_c, edge) tuples."""
-        if not pieces:
-            empty = np.zeros((m, 0))
-            return cls(np.zeros(0), np.zeros(0), empty, empty, empty,
-                       np.zeros(0, dtype=int))
-        lo, hi, col_a, col_b, col_c, edge = zip(*pieces)
-        return cls(np.array(lo), np.array(hi), np.column_stack(col_a),
-                   np.column_stack(col_b), np.column_stack(col_c),
-                   np.array(edge))
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -134,8 +125,10 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
     radii = np.array([p.radius for p in mu.points()])
     dirs = [p.direction for p in mu.points()]
     if isinstance(ds, FiniteDirections):
+        empty = np.zeros((len(radii), 0))
         system = DirectionSystem("finite", sp, radii, list(range(ds.size)), None,
-                                 PieceTable.stack([], len(radii)), dirs)
+                                 _coefficients(radii, np.zeros(0), np.zeros(0), empty,
+                                               empty, np.zeros(0, dtype=int)), dirs)
     elif isinstance(ds, CircleDirections):
         system = _build_circle(sp, ds, radii, dirs)
     else:
@@ -144,13 +137,27 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
     return system
 
 
-def _wrap_sorted_unique(values, period):
+def _coefficients(radii, lo, hi, dist, delta, edge) -> PieceTable:
+    """Piece table from each atom's distance to every piece's midpoint and
+    its phase there, both (m, P): a capped atom (dist >= pi) adds the
+    constant r, any other atom r cos(theta + delta) = a cos(theta) +
+    b sin(theta); an atom at the apex adds nothing."""
+    r = radii[:, None]
+    capped = dist >= PI
+    smooth = (r > 0.0) & ~capped
+    a = np.where(smooth, r * np.cos(delta), 0.0)
+    b = np.where(smooth, -r * np.sin(delta), 0.0)
+    c = np.where((r > 0.0) & capped, r, 0.0)
+    return PieceTable(lo, hi, a, b, c, edge)
+
+
+def _sorted_merged(values) -> list:
+    """The values in increasing order, less any within 1e-14 of the last one
+    kept."""
     out = []
     for val in sorted(values):
         if not out or val - out[-1] > 1e-14:
             out.append(val)
-    if out and period - (out[-1] - out[0]) <= 1e-14:
-        out.pop()
     return out
 
 
@@ -168,41 +175,29 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
             bps.add(ds.canonical(theta + alpha / 2.0))
     if not bps:
         bps.add(0.0)
-    cands = _wrap_sorted_unique(bps, alpha)
-    pieces = []
-    m = len(radii)
-    for idx, lo in enumerate(cands):
-        hi = cands[idx + 1] if idx + 1 < len(cands) else cands[0] + alpha
-        if hi - lo <= 1e-14:
-            continue
-        mid = (lo + hi) / 2.0
-        col_a = np.zeros(m)
-        col_b = np.zeros(m)
-        col_c = np.zeros(m)
-        for i, (r, theta) in enumerate(zip(radii, dirs)):
-            if r <= 0.0:
-                continue
-            best_k, best_d = 0, math.inf
-            for k in (-2, -1, 0, 1, 2):
-                d = abs(mid - theta + k * alpha)
-                if d < best_d:
-                    best_k, best_d = k, d
-            if best_d >= PI:
-                col_c[i] = r
-            else:
-                delta = best_k * alpha - theta
-                col_a[i] = r * math.cos(delta)
-                col_b[i] = -r * math.sin(delta)
-        pieces.append((lo, hi, col_a, col_b, col_c, -1))
+    cands = _sorted_merged(bps)
+    if alpha - (cands[-1] - cands[0]) <= 1e-14:
+        cands.pop()  # the last breakpoint wraps onto the first
+    lo = np.array(cands)
+    hi = np.append(lo[1:], lo[0] + alpha)
+    keep = hi - lo > 1e-14
+    lo, hi = lo[keep], hi[keep]
+    mid = (lo + hi) / 2.0
+    # each atom is reached through the winding k alpha, k = -2..2, nearest
+    # the midpoint; ties go to the smaller k
+    theta = np.array(dirs, dtype=float)[:, None]
+    offsets = np.abs(mid - theta + np.arange(-2, 3)[:, None, None] * alpha)
+    delta = (offsets.argmin(axis=0) - 2) * alpha - theta
     return DirectionSystem("circle", sp, radii, cands, None,
-                           PieceTable.stack(pieces, m), dirs)
+                           _coefficients(radii, lo, hi, offsets.min(axis=0), delta,
+                                         np.full(len(lo), -1)), dirs)
 
 
 def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
     m = len(radii)
     ra_rows, rb_rows = [], []
-    pieces = []
     cand_coords: list[tuple[int, float]] = []
+    los, his, piece_edges = [], [], []
     for eid, (u, v, length) in enumerate(ds.edges):
         ra = [ds.vertex_to_coord(u, d) for d in dirs]
         rb = [ds.vertex_to_coord(v, d) for d in dirs]
@@ -222,38 +217,30 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
                 branches += [(off, -1.0), (-off, 1.0)]
             for b, s in branches:
                 cuts.add((PI - b) / s)
-        cut_list = sorted(c for c in cuts if -1e-14 <= c <= length + 1e-14)
-        cleaned = []
-        for c in cut_list:
-            c = min(max(c, 0.0), length)
-            if not cleaned or c - cleaned[-1] > 1e-14:
-                cleaned.append(c)
-        for coord in cleaned:
-            cand_coords.append((eid, coord))
-        for lo, hi in zip(cleaned, cleaned[1:]):
-            mid = (lo + hi) / 2.0
-            col_a = np.zeros(m)
-            col_b = np.zeros(m)
-            col_c = np.zeros(m)
-            for i, r in enumerate(radii):
-                if r <= 0.0:
-                    continue
-                opts = [(ra[i] + mid, 1.0), (rb[i] + length - mid, -1.0)]
-                if dirs[i][0] == eid:
-                    off = dirs[i][1]
-                    opts.append((abs(mid - off), 1.0 if mid >= off else -1.0))
-                dist, slope = min(opts, key=lambda t: t[0])
-                if dist >= PI:
-                    col_c[i] = r
-                else:
-                    delta = slope * dist - mid
-                    col_a[i] = r * math.cos(delta)
-                    col_b[i] = -r * math.sin(delta)
-            pieces.append((lo, hi, col_a, col_b, col_c, eid))
+        cleaned = _sorted_merged(min(max(c, 0.0), length) for c in cuts
+                                 if -1e-14 <= c <= length + 1e-14)
+        cand_coords += [(eid, coord) for coord in cleaned]
+        los += cleaned[:-1]
+        his += cleaned[1:]
+        piece_edges += [eid] * (len(cleaned) - 1)
     edge_data = (np.array(ra_rows).reshape(len(ds.edges), m),
                  np.array(rb_rows).reshape(len(ds.edges), m))
+    lo, hi, edge = np.array(los), np.array(his), np.array(piece_edges, dtype=int)
+    mid = (lo + hi) / 2.0
+    length = np.array([e[2] for e in ds.edges])[edge]
+    ra, rb = (rows[edge].T for rows in edge_data)
+    # the three branches of an atom's distance to the midpoint: through the
+    # piece's first endpoint, through its second, and along the piece's own
+    # edge; ties go to the earlier branch
+    atom_eid, atom_off = np.array(dirs).reshape(-1, 2).T[:, :, None]
+    branches = np.stack([ra + mid, rb + length - mid,
+                         np.where(atom_eid == edge, np.abs(mid - atom_off), np.inf)])
+    branch = branches.argmin(axis=0)
+    dist = branches.min(axis=0)
+    slope = np.where((branch == 0) | ((branch == 2) & (mid >= atom_off)), 1.0, -1.0)
     return DirectionSystem("graph", sp, radii, cand_coords, None,
-                           PieceTable.stack(pieces, m), dirs, edge_data)
+                           _coefficients(radii, lo, hi, dist, slope * dist - mid, edge),
+                           dirs, edge_data)
 
 
 # ---------------------------------------------------------------------------

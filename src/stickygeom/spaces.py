@@ -383,6 +383,8 @@ def point(sp: Space, direction, radius: float, euclidean=None) -> Point:
     """Build a canonical point of `sp`; radius-0 points collapse to the cone
     point (or to the spine for open books)."""
     r = float(radius)
+    if not math.isfinite(r):
+        raise ValueError(f"radius {radius} must be finite")
     if r < 0.0:
         if r < -COORD_TOL:
             raise ValueError(f"radius {radius} must be nonnegative")

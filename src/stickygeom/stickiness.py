@@ -49,28 +49,21 @@ class StickinessReport:
     derivatives: tuple[tuple[object, float], ...]
 
 
-def _page_derivatives(sp: OpenBook, mu: Measure):
-    marg = spider_marginal(sp, mu)
-    vals = [directional_derivative(sp.spider, marg, j) for j in range(sp.pages)]
-    return marg, vals
-
-
 def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessReport:
     """Directional-stickiness certificate; by the flavor equivalences the
-    label also certifies Wasserstein, perturbation and sample stickiness."""
+    label also certifies Wasserstein, perturbation and sample stickiness.
+    An open book is classified by its spider marginal (the spine is sticky
+    iff the marginal's apex is); its mean keeps the heights."""
+    mean = None
     if isinstance(sp, OpenBook):
-        marg, vals = _page_derivatives(sp, mu)
-        argmin = min(range(sp.pages), key=lambda j: (vals[j], j))
-        c_min = vals[argmin]
-        derivs = tuple((j, vals[j]) for j in range(sp.pages))
-        pc = pull_condition(sp.spider, marg)
         mean = open_book_mean(sp, mu)
-    else:
-        system = build_system(sp, mu)
-        w = mu.weights()
-        argmin, c_min = min_derivative(system, w)
-        derivs = tuple(zip(system.candidates, system.derivatives(w)))
-        pc = pull_condition(sp, mu)
+        sp, mu = sp.spider, spider_marginal(sp, mu)
+    system = build_system(sp, mu)
+    w = mu.weights()
+    argmin, c_min = min_derivative(system, w)
+    derivs = tuple(zip(system.candidates, system.derivatives(w)))
+    pc = pull_condition(sp, mu)
+    if mean is None:
         mean = mean_from_min_derivative(sp, argmin, c_min)
     if c_min > tol:
         label = "sticky"
@@ -174,12 +167,8 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     sets the threshold is the smallest positive per-direction root; circles
     and graphs bisect the concave map t -> smallest derivative."""
     if isinstance(sp, OpenBook):
-        marg, vals = _page_derivatives(sp, mu)
-        if min(vals) < -tol:
-            return 0.0
-        y_marg = point(sp.spider, y.direction, y.radius)
-        pulls = [pull(sp.spider, j, y_marg) for j in range(sp.pages)]
-        return _finite_threshold(vals, pulls)
+        # the mixture's mean stays on the spine iff its marginal's stays at the apex
+        sp, mu = sp.spider, spider_marginal(sp, mu)
     if not isinstance(sp, Cone):
         raise ValueError("perturbation_threshold expects a cone or open book")
     y = point(sp, y.direction, y.radius)

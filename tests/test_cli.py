@@ -230,6 +230,10 @@ BAD_DIRECTIONS = [
     ("kale_3pi_thirds.json", "derivs", "grid", [0.5, math.nan], "/parameters/grid/1"),
     ("kale_3pi_thirds.json", "clt", "grid", [math.inf], "/parameters/grid/0"),
     ("kale_2pi.json", "derivs", "grid", ["east"], "/parameters/grid/0"),
+    ("spider3_thirds.json", "perturb", "y", {"dir": 0, "r": math.nan}, "/parameters/y"),
+    # a parameter name with slashes is a path from the config root
+    ("spider3_thirds.json", "classify", "measure/atoms/0/point/r", math.inf,
+     "/measure/atoms/0/point/r"),
 ]
 
 
@@ -237,7 +241,11 @@ BAD_DIRECTIONS = [
 def test_bad_direction_is_a_validation_error(tmp_path, capsys, name, cmd, key,
                                              value, pointer):
     data = json.loads(read_fixture(name))
-    data["parameters"][key] = value
+    path = key.split("/") if "/" in key else ["parameters", key]
+    node = data
+    for part in path[:-1]:
+        node = node[int(part) if isinstance(node, list) else part]
+    node[path[-1]] = value
     if cmd == "divergence":
         del data["measure2"]  # so the y, t form runs
     cfg = tmp_path / "cfg.json"

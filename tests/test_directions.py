@@ -39,6 +39,35 @@ def test_one_pull_formula(kind):
                 assert abs(p - F.pull(sp, coord, z)) <= 1e-15 * z.radius, (kind, coord)
 
 
+PIECE_MAKERS = {
+    "kale": SPACE_MAKERS["kale"],
+    "plane": SPACE_MAKERS["plane"],
+    "short_kale": lambda rng: S.kale(float(rng.uniform(0.3, 2.0 * PI))),
+    "tree": SPACE_MAKERS["tree"],
+    "petersen": SPACE_MAKERS["petersen"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PIECE_MAKERS))
+def test_piece_coefficients_are_the_pulls(kind):
+    """At each piece's ends and midpoint, c - a cos(theta) - b sin(theta) is
+    every atom's negated pull as pull_matrix gives it."""
+    rng = np.random.default_rng(78)
+    for _ in range(40):
+        sp = PIECE_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng)
+        system = build_system(sp, mu)
+        t = system.pieces
+        cols = np.tile(np.arange(len(t)), 3)
+        theta = np.concatenate([t.lo, (t.lo + t.hi) / 2.0, t.hi])
+        coords = (theta.tolist() if system.kind == "circle"
+                  else list(zip(t.edge[cols].tolist(), theta.tolist())))
+        table = (t.c[:, cols] - t.a[:, cols] * np.cos(theta)
+                 - t.b[:, cols] * np.sin(theta))
+        gap = np.abs(table + system.pull_matrix(coords))
+        assert (gap <= 1e-14 * (1.0 + system.radii[:, None])).all(), (kind, gap.max())
+
+
 def test_pull_matrix_rejects_off_edge_coordinates():
     sp = S.petersen_cone()
     mu = S.measure(sp, [(((0, 0.5), 1.0), 0.5), (((7, 1.0), 0.7), 0.5)])

@@ -231,6 +231,35 @@ def test_threshold_open_book_nonsticky_is_zero():
     assert ST.perturbation_threshold(bk, mu, y) == 0.0
 
 
+def test_open_book_reduces_to_its_spider_marginal():
+    """An open book is classified, and its threshold found, on its spider
+    marginal; the derivative table is the per-page derivatives of the
+    marginal and the argmin the first page attaining the smallest."""
+    rng = np.random.default_rng(31)
+    for k in range(200):
+        bk = S.open_book(int(rng.integers(3, 7)), int(rng.integers(2, 4)))
+        if k % 2:
+            mu = gen.random_measure(bk, rng)
+        else:  # equal mass on several pages, so their derivatives tie exactly
+            r = float(rng.uniform(0.2, 2.0))
+            pages = rng.choice(bk.pages, size=int(rng.integers(2, bk.pages + 1)),
+                               replace=False)
+            heights = rng.normal(size=(len(pages), bk.dim - 1))
+            mu = S.measure(bk, [(S.point(bk, int(j), r, h), 1 / len(pages))
+                                for j, h in zip(pages, heights)])
+        marg = S.spider_marginal(bk, mu)
+        rep, ref = ST.classify(bk, mu), ST.classify(bk.spider, marg)
+        assert (rep.label, rep.c_min, rep.argmin_direction, rep.derivatives) == \
+            (ref.label, ref.c_min, ref.argmin_direction, ref.derivatives)
+        pages = [F.directional_derivative(bk.spider, marg, j) for j in range(bk.pages)]
+        assert rep.derivatives == tuple(enumerate(pages))
+        assert (rep.c_min, rep.argmin_direction) == (min(pages), pages.index(min(pages)))
+        assert rep.mean == F.open_book_mean(bk, mu)
+        y = gen.random_point(bk, rng)
+        assert ST.perturbation_threshold(bk, mu, y) == ST.perturbation_threshold(
+            bk.spider, marg, S.point(bk.spider, y.direction, y.radius))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ path, or to stdout when there is none; a one-line summary goes to stderr.
     stickygeom <command> --config cfg.json [--out report.csv]
                [--format csv|json] [--seed N] [--threads K]
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid config, environment or report path,
+3 numerical failure.
 """
 from __future__ import annotations
 
@@ -479,7 +480,13 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("STICKYGEOM_THREADS", "1"))
+        env = os.environ.get("STICKYGEOM_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            print(f"error: STICKYGEOM_THREADS must be an integer (got {env!r})",
+                  file=sys.stderr)
+            return 2
     if threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
@@ -514,8 +521,12 @@ def main(argv=None) -> int:
 
     text_out = _csv_text(rows) if cfg.out_format == "csv" else _json_text(report)
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text_out)
+        try:
+            with open(cfg.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text_out)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text_out)
     print(summary, file=sys.stderr)

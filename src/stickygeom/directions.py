@@ -183,11 +183,13 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
     keep = hi - lo > 1e-14
     lo, hi = lo[keep], hi[keep]
     mid = (lo + hi) / 2.0
-    # each atom is reached through the winding k alpha, k = -2..2, nearest
-    # the midpoint; ties go to the smaller k
+    # each atom is reached through the winding k alpha nearest the midpoint;
+    # ties go to the smaller k.  An atom with r > 0 is a breakpoint, so
+    # mid - theta lies in (-alpha, alpha) and k = -1, 0 or 1; atoms at the
+    # apex add nothing whatever their k
     theta = np.array(dirs, dtype=float)[:, None]
-    offsets = np.abs(mid - theta + np.arange(-2, 3)[:, None, None] * alpha)
-    delta = (offsets.argmin(axis=0) - 2) * alpha - theta
+    offsets = np.abs(mid - theta + np.arange(-1, 2)[:, None, None] * alpha)
+    delta = (offsets.argmin(axis=0) - 1) * alpha - theta
     return DirectionSystem("circle", sp, radii, cands, None,
                            _coefficients(radii, lo, hi, offsets.min(axis=0), delta,
                                          np.full(len(lo), -1)), dirs)

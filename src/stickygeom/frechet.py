@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .directions import build_system, min_derivative
 from .spaces import (
@@ -118,7 +117,12 @@ def open_book_mean(sp: OpenBook, mu: Measure) -> Point:
     of the height marginal."""
     if not isinstance(sp, OpenBook):
         raise ValueError("open_book_mean expects an open book")
-    base = cone_mean(sp.spider, spider_marginal(sp, mu))
+    return book_mean_over(sp, mu, cone_mean(sp.spider, spider_marginal(sp, mu)))
+
+
+def book_mean_over(sp: OpenBook, mu: Measure, base: Point) -> Point:
+    """Open-book mean of mu from its spider-marginal mean base: base paired
+    with the Euclidean mean of the heights."""
     heights = np.zeros(sp.dim - 1)
     for p, w in mu.atoms:
         heights += w * np.asarray(p.euclidean)
@@ -192,6 +196,8 @@ def c_kappa_epsilon_report(kappa: float, eps: float, grid: int = 401,
             grid_arg = (float(aa.flat[k]), float(bb.flat[k]), theta)
     refined = grid_best
     if refine:
+        from scipy import optimize
+
         # keep the refinement away from the coincidence line theta -> 0 where
         # the ratio is numerically noisy; its supremum there is the closed
         # form `boundary` below

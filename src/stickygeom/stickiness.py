@@ -4,17 +4,16 @@ sample-stickiness experiments with the exponential tail bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._mc import resample_counts
 from .directions import TIE_TOL, batch_min_derivative, build_system, min_derivative
 from .frechet import (
+    book_mean_over,
     directional_derivative,
     mean_from_min_derivative,
-    open_book_mean,
     pull,
 )
 from .spaces import (
@@ -54,17 +53,15 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
     label also certifies Wasserstein, perturbation and sample stickiness.
     An open book is classified by its spider marginal (the spine is sticky
     iff the marginal's apex is); its mean keeps the heights."""
-    mean = None
     if isinstance(sp, OpenBook):
-        mean = open_book_mean(sp, mu)
-        sp, mu = sp.spider, spider_marginal(sp, mu)
+        rep = classify(sp.spider, spider_marginal(sp, mu), tol)
+        return replace(rep, mean=book_mean_over(sp, mu, rep.mean))
     system = build_system(sp, mu)
     w = mu.weights()
     argmin, c_min = min_derivative(system, w)
     derivs = tuple(zip(system.candidates, system.derivatives(w)))
     pc = pull_condition(sp, mu)
-    if mean is None:
-        mean = mean_from_min_derivative(sp, argmin, c_min)
+    mean = mean_from_min_derivative(sp, argmin, c_min)
     if c_min > tol:
         label = "sticky"
     elif c_min < -tol:
@@ -292,6 +289,9 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int):
         raise ValueError("exact enumeration supports at most 4 atoms")
     if n > 400:
         raise ValueError("exact enumeration supports n <= 400")
+    # imported past the checks: modulation tries this path on every cone
+    from scipy.special import gammaln
+
     radii = np.array([p.radius for p in mu.points()])
     legs = [p.direction for p in mu.points()]
     logw = np.log(np.array(mu.weights()))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +263,20 @@ def test_missing_config_file():
     assert main(["classify", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+def test_unwritable_report_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["classify", "--config", fixture_path("spider3_thirds.json"),
+                 "--out", str(out)]) == 2
+    assert "error: cannot write report: " in capsys.readouterr().err
+
+
+def test_threads_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("STICKYGEOM_THREADS", "two")
+    assert main(["classify", "--config", fixture_path("spider3_thirds.json")]) == 2
+    err = capsys.readouterr().err
+    assert "STICKYGEOM_THREADS" in err and "'two'" in err
+
+
 def test_json_report_round_trip_stable(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["mean", "--config", fixture_path("kale_3pi_thirds.json"),
@@ -307,3 +325,50 @@ def test_threads_env(tmp_path, monkeypatch):
     main(["sample-sim", "--config", fixture_path("spider3_thirds.json"),
           "--out", str(out2), "--format", "csv"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: the CLI path imports no scipy
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SCIPY_MODULES = ("import sys; print(sorted(k for k in sys.modules "
+                 "if k == 'scipy' or k.startswith('scipy.')))")
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("STICKYGEOM_THREADS", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _fresh_python("-c", "import stickygeom.cli; " + SCIPY_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    runs = [(name, cmd) for name in FIXTURES
+            for cmd in ("mean", "derivs", "classify", "perturb", "divergence",
+                        "sample-sim", "clt", "prismatic")
+            if not (name.startswith("openbook") and cmd in BOOK_UNSUPPORTED)]
+    runs.append(("kale_3pi_thirds.json", "modulation"))
+    code = (f"from stickygeom import cli\n"
+            f"for name, cmd in {runs!r}:\n"
+            f"    rc = cli.main([cmd, '--config', cli.fixture_path(name),\n"
+            f"                   '--out', {str(tmp_path / 'r.json')!r}])\n"
+            f"    assert rc == 0, (name, cmd, rc)\n" + SCIPY_MODULES)
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("cmd", ["wasserstein", "modulation"])
+def test_scipy_commands_resolve_their_imports(tmp_path, cmd):
+    out = tmp_path / "r.json"
+    proc = _fresh_python("-m", "stickygeom.cli", cmd, "--config",
+                         fixture_path("spider3_thirds.json"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())

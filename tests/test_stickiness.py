@@ -64,7 +64,7 @@ def test_open_book_classification():
     assert rep.mean.radius == 0.0 and rep.mean.euclidean == (0.0,)
 
 
-def test_classify_cone_solves_once(monkeypatch):
+def _counted_builds(monkeypatch) -> list:
     build = ST.build_system
     calls = []
 
@@ -75,12 +75,28 @@ def test_classify_cone_solves_once(monkeypatch):
     # frechet too: a second solve through cone_mean would go through it
     monkeypatch.setattr(ST, "build_system", counted)
     monkeypatch.setattr(F, "build_system", counted)
+    return calls
+
+
+def test_classify_cone_solves_once(monkeypatch):
+    calls = _counted_builds(monkeypatch)
     k = S.kale(2 * PI)
     mu = S.measure(k, [((0.0, 1.0), 0.7), ((2.0, 0.5), 0.3)])
     rep = ST.classify(k, mu)
     assert len(calls) == 1
     assert rep.label == "nonsticky"
     assert rep.mean == F.cone_mean(k, mu)
+
+
+def test_classify_open_book_solves_once(monkeypatch):
+    calls = _counted_builds(monkeypatch)
+    bk = S.open_book(3, 2)
+    mu = S.measure(bk, [(S.point(bk, 0, 1.0, (0.5,)), 0.7),
+                        (S.point(bk, 1, 0.5, (-1.0,)), 0.3)])
+    rep = ST.classify(bk, mu)
+    assert len(calls) == 1
+    assert rep.label == "nonsticky"
+    assert rep.mean == F.open_book_mean(bk, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -478,9 +478,9 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
-        env = os.environ.get("STICKYGEOM_THREADS", "1")
+        env, source = os.environ.get("STICKYGEOM_THREADS", "1"), "STICKYGEOM_THREADS"
         try:
             threads = int(env)
         except ValueError:
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+        print(f"error: {source} must be >= 1", file=sys.stderr)
         return 2
 
     try:

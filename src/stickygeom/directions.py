@@ -71,9 +71,6 @@ class DirectionSystem:
     pulls: np.ndarray              # (m, len(candidates)) pull_matrix(candidates)
     pieces: PieceTable
     atom_dirs: list = field(default_factory=list)
-    # graph: (ra, rb), each (edges, m): distance from each edge's first and
-    # second endpoint to each atom's direction
-    edge_data: tuple | None = None
 
     def pull_matrix(self, coords) -> np.ndarray:
         """Pulls r_i cos(min(d(coord, dir_i), pi)) of every atom at every
@@ -89,15 +86,7 @@ class DirectionSystem:
                           ds.alpha)
             dist = np.minimum(raw, ds.alpha - raw)
         else:
-            eids = np.array([e for e, _ in canon], dtype=int)
-            offs = np.array([o for _, o in canon], dtype=float)
-            length = np.array([e[2] for e in ds.edges])[eids]
-            ra, rb = self.edge_data
-            dist = np.minimum(ra[eids].T + offs, rb[eids].T + (length - offs))
-            # an atom on the coordinate's own edge is also reached directly
-            atom_eid, atom_off = np.array(self.atom_dirs).reshape(-1, 2).T[:, :, None]
-            dist = np.minimum(dist, np.where(atom_eid == eids, np.abs(offs - atom_off),
-                                             np.inf))
+            dist = ds.distances(self.atom_dirs, canon)
         return self.radii[:, None] * np.cos(np.minimum(dist, PI))
 
     def derivatives(self, weights, coords=None) -> list[float]:
@@ -196,15 +185,13 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
 
 
 def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
-    m = len(radii)
-    ra_rows, rb_rows = [], []
+    # (edges, m): distance from each edge's first and second endpoint to
+    # each atom's direction
+    to_first, to_second = ds.endpoint_distances(dirs)
     cand_coords: list[tuple[int, float]] = []
     los, his, piece_edges = [], [], []
-    for eid, (u, v, length) in enumerate(ds.edges):
-        ra = [ds.vertex_to_coord(u, d) for d in dirs]
-        rb = [ds.vertex_to_coord(v, d) for d in dirs]
-        ra_rows.append(ra)
-        rb_rows.append(rb)
+    for eid, ((_u, _v, length), ra, rb) in enumerate(
+            zip(ds.edges, to_first.tolist(), to_second.tolist())):
         cuts = {0.0, length}
         for i, r in enumerate(radii):
             if r <= 0.0:
@@ -225,12 +212,10 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
         los += cleaned[:-1]
         his += cleaned[1:]
         piece_edges += [eid] * (len(cleaned) - 1)
-    edge_data = (np.array(ra_rows).reshape(len(ds.edges), m),
-                 np.array(rb_rows).reshape(len(ds.edges), m))
     lo, hi, edge = np.array(los), np.array(his), np.array(piece_edges, dtype=int)
     mid = (lo + hi) / 2.0
     length = np.array([e[2] for e in ds.edges])[edge]
-    ra, rb = (rows[edge].T for rows in edge_data)
+    ra, rb = to_first[edge].T, to_second[edge].T
     # the three branches of an atom's distance to the midpoint: through the
     # piece's first endpoint, through its second, and along the piece's own
     # edge; ties go to the earlier branch
@@ -242,7 +227,7 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
     slope = np.where((branch == 0) | ((branch == 2) & (mid >= atom_off)), 1.0, -1.0)
     return DirectionSystem("graph", sp, radii, cand_coords, None,
                            _coefficients(radii, lo, hi, dist, slope * dist - mid, edge),
-                           dirs, edge_data)
+                           dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 PI = math.pi
 COORD_TOL = 1e-12
@@ -83,7 +84,9 @@ class CircleDirections:
 @dataclass(frozen=True)
 class GraphDirections:
     """Connected metric graph; coordinates are (edge id, offset from the
-    edge's first endpoint)."""
+    edge's first endpoint).  Every distance on it comes from one endpoint
+    rule over the vertex-distance table D: d(w, (e, o)) =
+    min(D[w][u_e] + o, D[w][v_e] + (L_e - o))."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
@@ -140,11 +143,45 @@ class GraphDirections:
             return self._vertex_home[v]
         return (eid, off)
 
+    @cached_property
+    def _endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # the vertex-distance table, and each edge's first endpoint, second
+        # endpoint and length, as arrays (the table stays tuples for the
+        # scalar readers)
+        u, v, length = zip(*self.edges)
+        return np.array(self._vertex_dist), np.array(u), np.array(v), np.array(length)
+
     def vertex_to_coord(self, w: int, coord: tuple[int, float]) -> float:
+        """Distance from vertex w to the point (edge, offset) by the endpoint
+        rule min(d(w, u) + offset, d(w, v) + (length - offset))."""
         eid, off = coord
         u, v, length = self.edges[eid]
         dv = self._vertex_dist[w]
         return min(dv[u] + off, dv[v] + (length - off))
+
+    def endpoint_distances(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """`vertex_to_coord` from every edge's first endpoint and from its
+        second endpoint to every coordinate: two (edges, len(coords)) arrays."""
+        dist, u, v, length = self._endpoint_arrays
+        eids = np.array([e for e, _ in coords], dtype=int)
+        offs = np.array([o for _, o in coords], dtype=float)
+        # (vertices, coords): the endpoint rule from every vertex
+        near = np.minimum(dist[:, u[eids]] + offs,
+                          dist[:, v[eids]] + (length[eids] - offs))
+        return near[u], near[v]
+
+    def distances(self, a, b) -> np.ndarray:
+        """Distances between coordinate lists as a (len(a), len(b)) array: the
+        endpoint rule from the ends of b's edge, or along an edge a and b
+        share."""
+        length = self._endpoint_arrays[3]
+        ra, rb = self.endpoint_distances(a)
+        eb = np.array([e for e, _ in b], dtype=int)
+        ob = np.array([o for _, o in b], dtype=float)
+        ea = np.array([e for e, _ in a], dtype=int)[:, None]
+        oa = np.array([o for _, o in a], dtype=float)[:, None]
+        dist = np.minimum(ra[eb].T + ob, rb[eb].T + (length[eb] - ob))
+        return np.minimum(dist, np.where(ea == eb, np.abs(ob - oa), np.inf))
 
     def distance(self, a, b) -> float:
         ca, cb = self.canonical(a), self.canonical(b)
@@ -152,86 +189,17 @@ class GraphDirections:
             return 0.0
         if cb < ca:  # fixed evaluation order keeps the metric exactly symmetric
             ca, cb = cb, ca
-        (e1, o1), (e2, o2) = ca, cb
-        u1, v1, l1 = self.edges[e1]
-        u2, v2, l2 = self.edges[e2]
-        dmat = self._vertex_dist
-        best = math.inf
-        if e1 == e2:
-            best = abs(o1 - o2)
-        for w1, s1 in ((u1, o1), (v1, l1 - o1)):
-            for w2, s2 in ((u2, o2), (v2, l2 - o2)):
-                cand = s1 + dmat[w1][w2] + s2
-                if cand < best:
-                    best = cand
+        (ea, oa), (eb, ob) = ca, cb
+        ua, va, la = self.edges[ea]
+        u, v, length = self.edges[eb]
+        # vertex_to_coord(u, ca) + ob and vertex_to_coord(v, ca) + (length - ob),
+        # inlined: this is the hot scalar path of cone distances
+        du, dv = self._vertex_dist[u], self._vertex_dist[v]
+        best = min(min(du[ua] + oa, du[va] + (la - oa)) + ob,
+                   min(dv[ua] + oa, dv[va] + (la - oa)) + (length - ob))
+        if ea == eb:
+            best = min(best, abs(oa - ob))
         return best
-
-    def shortest_path(self, a, b) -> tuple[float, list[tuple[int, float, float]]]:
-        """Shortest path realized as edge segments (edge, from_off, to_off).
-
-        Ties are broken by a fixed route order and, inside the graph, by the
-        lexicographically smallest sequence of edge ids.
-        """
-        ca, cb = self.canonical(a), self.canonical(b)
-        if ca == cb:
-            return 0.0, []
-        (e1, o1), (e2, o2) = ca, cb
-        u1, v1, l1 = self.edges[e1]
-        u2, v2, l2 = self.edges[e2]
-        routes: list[tuple[float, int, tuple]] = []
-        if e1 == e2:
-            routes.append((abs(o1 - o2), 0, ("direct",)))
-        order = 1
-        for w1, s1 in ((u1, o1), (v1, l1 - o1)):
-            for w2, s2 in ((u2, o2), (v2, l2 - o2)):
-                mid, epath = self._lex_vertex_path(w1, w2)
-                routes.append((s1 + mid + s2, order, ("via", w1, w2, epath)))
-                order += 1
-        routes.sort(key=lambda r: (r[0], r[1]))
-        _, _, route = routes[0]
-        segs: list[tuple[int, float, float]] = []
-        if route[0] == "direct":
-            segs.append((e1, o1, o2))
-        else:
-            _, w1, w2, epath = route
-            if (e1, o1) != self._at_vertex(e1, w1):
-                segs.append((e1, o1, 0.0 if w1 == u1 else l1))
-            here = w1
-            for eid in epath:
-                eu, ev, el = self.edges[eid]
-                nxt = ev if here == eu else eu
-                segs.append((eid, 0.0 if here == eu else el, el if here == eu else 0.0))
-                here = nxt
-            if (e2, o2) != self._at_vertex(e2, w2):
-                segs.append((e2, 0.0 if w2 == u2 else l2, o2))
-        total = sum(abs(t - f) for _, f, t in segs)
-        return total, [s for s in segs if abs(s[2] - s[1]) > 0.0]
-
-    def _at_vertex(self, eid: int, w: int) -> tuple[int, float]:
-        u, v, length = self.edges[eid]
-        return (eid, 0.0) if w == u else (eid, length)
-
-    def _lex_vertex_path(self, a: int, b: int) -> tuple[float, tuple[int, ...]]:
-        if a == b:
-            return 0.0, ()
-        # heap orders by (distance, edge id sequence): deterministic tie-break
-        heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), a)]
-        seen: dict[int, tuple[float, tuple[int, ...]]] = {}
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for eid, (u, v, _l) in enumerate(self.edges):
-            adj.setdefault(u, []).append((eid, v))
-            adj.setdefault(v, []).append((eid, u))
-        while heap:
-            d, path, w = heapq.heappop(heap)
-            if w in seen:
-                continue
-            seen[w] = (d, path)
-            if w == b:
-                return d, path
-            for eid, x in adj.get(w, ()):
-                if x not in seen:
-                    heapq.heappush(heap, (d + self.edges[eid][2], path + (eid,), x))
-        raise ValueError("graph is not connected")
 
 
 DirectionSpace = FiniteDirections | CircleDirections | GraphDirections
@@ -287,21 +255,10 @@ def graph_directions(vertex_count: int, edges) -> GraphDirections:
         norm.append((u, v, length))
     if not norm:
         raise ValueError("graph needs at least one edge")
-    seen = {norm[0][0]}
-    queue = deque([norm[0][0]])
-    adj: dict[int, list[int]] = {}
-    for u, v, _ in norm:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    while queue:
-        w = queue.popleft()
-        for x in adj.get(w, ()):
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-    if len(seen) != vertex_count:
+    ds = GraphDirections(vertex_count, tuple(norm))
+    if any(math.inf in row for row in ds._vertex_dist):
         raise ValueError("graph is not connected")
-    return GraphDirections(vertex_count, tuple(norm))
+    return ds
 
 
 def petersen_directions(edge_length: float = PI / 2) -> GraphDirections:
@@ -520,16 +477,39 @@ def _walk_direction(ds: DirectionSpace, a, b, dist: float):
             # both arcs are shortest: pick the smaller resulting coordinate
             return min(ds.canonical(ta + dist), ds.canonical(ta - dist))
         return ds.canonical(ta + dist if fwd < back else ta - dist)
-    total, segs = ds.shortest_path(a, b)
-    if dist >= total:
-        return ds.canonical(b)
+    # one shortest path, leg by leg from the distance table: a leg runs on
+    # edge eid from offset f to offset t; equal lengths (within COORD_TOL) go
+    # to the earliest leg listed
+    cb = ds.canonical(b)
+    e2, o2 = cb
+    e1, o1 = ds.canonical(a)
+    u1, v1, l1 = ds.edges[e1]
+    legs = [(abs(o2 - o1), e1, o1, o2)] if e1 == e2 else []
+    legs += [(o1 + ds.vertex_to_coord(u1, cb), e1, o1, 0.0),
+             (l1 - o1 + ds.vertex_to_coord(v1, cb), e1, o1, l1)]
     left = dist
-    for eid, f, t in segs:
+    while True:
+        best = min(cost for cost, *_ in legs)
+        _, eid, f, t = next(leg for leg in legs if leg[0] <= best + COORD_TOL)
         seg_len = abs(t - f)
         if left <= seg_len:
             return ds.canonical((eid, f + math.copysign(left, t - f)))
         left -= seg_len
-    return ds.canonical(b)
+        if (eid, t) == cb:
+            return cb
+        u, v, _ = ds.edges[eid]
+        w = u if t == 0.0 else v
+        # from vertex w: along b's edge to b, or along any other edge to its
+        # far end, in order of edge id
+        legs = []
+        for fid, (u, v, length) in enumerate(ds.edges):
+            if w not in (u, v):
+                continue
+            f, far = (0.0, v) if w == u else (length, u)
+            if fid == e2:
+                legs.append((abs(o2 - f), fid, f, o2))
+            else:
+                legs.append((length + ds.vertex_to_coord(far, cb), fid, f, length - f))
 
 
 def geodesic_point(sp: Space, x: Point, y: Point, frac: float) -> Point:
@@ -641,10 +621,10 @@ def shadow(ds: DirectionSpace, coord) -> Shadow:
         start = ds.canonical(t + PI)
         return Shadow(arcs=((start, max(alpha - 2.0 * PI, 0.0)),))
     c = ds.canonical(coord)
+    to_first, to_second = ds.endpoint_distances([c])
     arcs = []
-    for eid, (u, v, length) in enumerate(ds.edges):
-        da = ds.distance(c, (eid, 0.0))
-        db = ds.distance(c, (eid, length))
+    for eid, ((_u, _v, length), da, db) in enumerate(
+            zip(ds.edges, to_first[:, 0].tolist(), to_second[:, 0].tolist())):
         lo = max(0.0, PI - da)
         hi = min(length, length - (PI - db))
         if lo > hi + COORD_TOL:

@@ -139,9 +139,9 @@ def _right_angle_set(ds, direction):
     assert isinstance(ds, GraphDirections)
     out = []
     c = ds.canonical(direction)
-    for eid, (u, v, length) in enumerate(ds.edges):
-        ra = ds.vertex_to_coord(u, c)
-        rb = ds.vertex_to_coord(v, c)
+    to_first, to_second = ds.endpoint_distances([c])
+    for eid, ((_u, _v, length), ra, rb) in enumerate(
+            zip(ds.edges, to_first[:, 0].tolist(), to_second[:, 0].tolist())):
         cands = {PI / 2.0 - ra, rb + length - PI / 2.0}
         if eid == c[0]:
             cands.add(c[1] - PI / 2.0)

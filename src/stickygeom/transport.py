@@ -152,21 +152,19 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
     Otherwise falls back to the exact LP."""
     if not isinstance(sp, Cone):
         raise ValueError("w1_tree expects a cone")
+    # legs keyed by canonical direction: within one cone every direction has
+    # the same type, so the keys sort
     legs: dict[object, list[tuple[float, float]]] = defaultdict(list)
-    rep: dict[object, object] = {}
     for mu, sign in ((p, 1.0), (q, -1.0)):
         for z, w in mu.atoms:
             if z.radius == 0.0:
                 continue  # mass at the cone point never crosses a cut
-            key = _dir_key(z.direction)
-            rep.setdefault(key, z.direction)
-            legs[key].append((z.radius, sign * w))
-    directions = [rep[k] for k in sorted(rep.keys())]
-    if not _support_is_star(sp, directions):
+            legs[z.direction].append((z.radius, sign * w))
+    if not _support_is_star(sp, sorted(legs)):
         return wq_lp(sp, p, q, 1.0)
     total = 0.0
-    for key in legs:
-        items = sorted(legs[key])
+    for leg in legs.values():
+        items = sorted(leg)
         radii = [0.0] + [r for r, _ in items]
         suffix = 0.0
         flows = []
@@ -177,14 +175,6 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
         for k, (r, _w) in enumerate(items):
             total += (r - radii[k]) * abs(flows[k])
     return total
-
-
-def _dir_key(direction):
-    if isinstance(direction, tuple):
-        return direction
-    if isinstance(direction, float):
-        return (direction,)
-    return (float(direction),)
 
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:

@@ -135,3 +135,12 @@ def random_tree_graph_cone(rng):
         u = int(rng.integers(0, v))
         edges.append((u, v, float(rng.uniform(0.5, 2.5))))
     return S.graph_cone(n, edges)
+
+
+def random_cycle_graph_cone(rng, lo, hi):
+    """Cone over a cycle of 3 to 6 edges, edge i joining vertices i and
+    i + 1, with total length uniform in (lo, hi)."""
+    n = int(rng.integers(3, 7))
+    lengths = rng.uniform(0.5, 1.5, size=n)
+    lengths *= rng.uniform(lo, hi) / lengths.sum()
+    return S.graph_cone(n, [(i, (i + 1) % n, float(lengths[i])) for i in range(n)])

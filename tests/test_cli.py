@@ -277,6 +277,16 @@ def test_threads_env_not_an_integer(monkeypatch, capsys):
     assert "STICKYGEOM_THREADS" in err and "'two'" in err
 
 
+def test_threads_below_one_names_its_source(monkeypatch, capsys):
+    config = fixture_path("spider3_thirds.json")
+    monkeypatch.setenv("STICKYGEOM_THREADS", "0")
+    assert main(["classify", "--config", config]) == 2
+    assert "error: STICKYGEOM_THREADS must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("STICKYGEOM_THREADS", "2")
+    assert main(["classify", "--config", config, "--threads", "0"]) == 2
+    assert "error: --threads must be >= 1" in capsys.readouterr().err
+
+
 def test_json_report_round_trip_stable(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["mean", "--config", fixture_path("kale_3pi_thirds.json"),

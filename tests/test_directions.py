@@ -39,6 +39,43 @@ def test_one_pull_formula(kind):
                 assert abs(p - F.pull(sp, coord, z)) <= 1e-15 * z.radius, (kind, coord)
 
 
+GRAPH_MAKERS = {
+    "tree": gen.random_tree_graph_cone,
+    "short_cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 1.9 * PI),
+    "long_cycle": lambda rng: gen.random_cycle_graph_cone(rng, 2.0 * PI, 4.0 * PI),
+    "petersen": SPACE_MAKERS["petersen"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_MAKERS))
+def test_one_graph_metric(kind):
+    """Every graph distance is the endpoint rule over the vertex-distance
+    table, bit for bit: scalar and array, in either argument order, and
+    inside the pulls."""
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        sp = GRAPH_MAKERS[kind](rng)
+        ds = sp.directions
+        coords = [ds.canonical(gen.random_direction(sp, rng)) for _ in range(12)]
+        coords += [ds.canonical((e, l)) for e, (_, _, l) in enumerate(ds.edges)][:4]
+        to_first, to_second = ds.endpoint_distances(coords)
+        for eid, (u, v, _) in enumerate(ds.edges):
+            for j, c in enumerate(coords):
+                assert to_first[eid, j] == ds.vertex_to_coord(u, c), (kind, eid, c)
+                assert to_second[eid, j] == ds.vertex_to_coord(v, c), (kind, eid, c)
+        table = ds.distances(coords, coords)
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
+                assert ds.distance(a, b) == ds.distance(b, a), (kind, a, b)
+                if a <= b:
+                    assert table[i, j] == ds.distance(a, b), (kind, a, b)
+        mu = gen.random_measure(sp, rng)
+        system = build_system(sp, mu)
+        want = system.radii[:, None] * np.cos(
+            np.minimum(ds.distances(system.atom_dirs, coords), PI))
+        assert system.pull_matrix(coords).tobytes() == want.tobytes(), kind
+
+
 PIECE_MAKERS = {
     "kale": SPACE_MAKERS["kale"],
     "plane": SPACE_MAKERS["plane"],

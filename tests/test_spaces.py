@@ -174,6 +174,32 @@ def test_geodesic_additivity():
             assert S.cone_distance(sp, x, g) == pytest.approx(t * dxy, abs=1e-12)
 
 
+def test_cycle_geodesic_follows_one_path():
+    """Between antipodal directions on a cycle shorter than 2 pi both arcs
+    are shortest; every fraction of the geodesic takes the same one, so
+    d(g(t1), g(t2)) = (t2 - t1) d(x, y)."""
+    rng = np.random.default_rng(31)
+    for _ in range(240):
+        sp = gen.random_cycle_graph_cone(rng, 1.2 * PI, 1.9 * PI)
+        edges = sp.directions.edges
+        starts = np.concatenate([[0.0], np.cumsum([l for _, _, l in edges])])
+        total = starts[-1]
+        s = float(rng.uniform(0.0, total))
+        opposite = math.fmod(s + total / 2.0, total)
+        ex = min(int(np.searchsorted(starts, s, side="right")) - 1, len(edges) - 1)
+        ey = min(int(np.searchsorted(starts, opposite, side="right")) - 1, len(edges) - 1)
+        x = S.point(sp, (ex, min(s - starts[ex], edges[ex][2])), rng.uniform(0.5, 2.0))
+        y = S.point(sp, (ey, min(opposite - starts[ey], edges[ey][2])),
+                    rng.uniform(0.5, 2.0))
+        dxy = S.cone_distance(sp, x, y)
+        ts = np.sort(rng.uniform(0.0, 1.0, size=6)).tolist()
+        g = [S.geodesic_point(sp, x, y, t) for t in ts]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                assert S.cone_distance(sp, g[i], g[j]) == pytest.approx(
+                    (ts[j] - ts[i]) * dxy, abs=1e-12), (edges, x, y, ts[i], ts[j])
+
+
 def test_geodesic_open_book():
     bk = S.open_book(3, 2)
     x = S.point(bk, 0, 1.0, (0.0,))

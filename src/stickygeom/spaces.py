@@ -111,8 +111,13 @@ class GraphDirections:
                     if nd < dist[x]:
                         dist[x] = nd
                         heapq.heappush(heap, (nd, x))
-            rows.append(tuple(dist))
-        return tuple(rows)
+            rows.append(dist)
+        # each row sums its paths from its own source, so D[s][t] and D[t][s]
+        # can differ in the last bit; one copy of each pair keeps D symmetric
+        for s in range(self.vertex_count):
+            for t in range(s + 1, self.vertex_count):
+                rows[t][s] = rows[s][t]
+        return tuple(tuple(row) for row in rows)
 
     @cached_property
     def _vertex_home(self) -> tuple[tuple[int, float], ...]:
@@ -640,7 +645,12 @@ def shadow(ds: DirectionSpace, coord) -> Shadow:
             phi = max(phi, plo)
             if phi - plo <= COORD_TOL:
                 # canonical form keeps degenerate arcs at shared vertices from
-                # being counted once per incident edge
+                # being counted once per incident edge; within COORD_TOL of an
+                # edge end, an arc is at that end's vertex
+                if plo <= COORD_TOL:
+                    plo = 0.0
+                elif plo >= length - COORD_TOL:
+                    plo = length
                 ceid, coff = ds.canonical((eid, plo))
                 arc = (ceid, coff, coff)
             else:
@@ -650,92 +660,77 @@ def shadow(ds: DirectionSpace, coord) -> Shadow:
     return Shadow(arcs=tuple(arcs))
 
 
-def _graph_eccentricity(ds: GraphDirections, eid: int):
-    """Eccentricity (largest distance to any point of the graph) as a
-    function of the offset on edge `eid`."""
-    u, v, length = ds.edges[eid]
-    dmat = ds._vertex_dist
-
-    def ecc(off: float) -> float:
-        best = 0.0
-        for fid, (a, b, flen) in enumerate(ds.edges):
-            da = min(dmat[u][a] + off, dmat[v][a] + length - off)
-            db = min(dmat[u][b] + off, dmat[v][b] + length - off)
-            cand_v = [0.0, flen]
-            cross = (db + flen - da) / 2.0
-            if 0.0 < cross < flen:
-                cand_v.append(cross)
-            if fid == eid:
-                cand_v.append(off)
-                cand_v.append((off - da) / 2.0)
-                cand_v.append((off + db + flen) / 2.0)
-            peak = 0.0
-            for w in cand_v:
-                if not 0.0 <= w <= flen:
-                    continue
-                d = min(da + w, db + flen - w)
-                if fid == eid:
-                    d = min(d, abs(off - w))
-                peak = max(peak, d)
-            best = max(best, peak)
-        return best
-
-    return ecc
+def _eccentricity_trapezoids(ds: GraphDirections):
+    """Three (edges, edges + 2) arrays alpha, beta, delta.  From offset o on
+    edge e = (u, v, L), the farthest point of edge f = (a, b, l) != e is at
+    (d(o, a) + d(o, b) + l)/2 = min(alpha + o, beta, delta - o) by the
+    endpoint rule (row e, column f).  Column e is void (beta = -inf); the
+    last two hold e's own farthest points behind and ahead of o,
+    min(o, (D[u][v] + L)/2) and min(L - o, (D[u][v] + L)/2)."""
+    dist, u, v, length = ds._endpoint_arrays
+    uu, uv, vu, vv = dist[u][:, u], dist[u][:, v], dist[v][:, u], dist[v][:, v]
+    own, other = length[:, None], length[None, :]
+    alpha = (uu + uv + other) / 2.0
+    beta = (np.minimum(uu + vv, vu + uv) + own + other) / 2.0
+    delta = (vu + vv + 2.0 * own + other) / 2.0
+    np.fill_diagonal(beta, -np.inf)
+    half = (dist[u, v] + length) / 2.0
+    inf = np.full_like(length, np.inf)
+    return (np.column_stack([alpha, np.zeros_like(length), inf]),
+            np.column_stack([beta, half, half]),
+            np.column_stack([delta, inf, length]))
 
 
-def _scan_edge_ecc(ecc, length: float, tol: float):
-    """Certified comparison of min eccentricity on one edge against pi.
-
-    Eccentricity is 1-Lipschitz in the offset, so bisection with the
-    Lipschitz bound decides `min ecc > pi` or finds a witness below pi;
-    offsets where the level pi may be attained are returned for inspection.
-    """
-    stack = [(0.0, length)]
-    critical = []
-    budget = 20000
-    while stack and budget > 0:
-        budget -= 1
-        a, b = stack.pop()
-        fa, fb = ecc(a), ecc(b)
-        if fa < PI - tol:
-            return "below", a
-        if fb < PI - tol:
-            return "below", b
-        if min(fa, fb) - (b - a) / 2.0 > PI + tol:
-            continue
-        if b - a < 1e-9:
-            critical.append((a + b) / 2.0)
-            continue
-        mid = (a + b) / 2.0
-        stack.append((a, mid))
-        stack.append((mid, b))
-    for a, b in stack:  # budget exhausted: treat leftovers as critical
-        critical.append((a + b) / 2.0)
-    return ("critical", critical) if critical else ("above", None)
+def _uncovered(lo, hi, length: float) -> list[tuple[float, float]]:
+    """The maximal closed intervals [x, y] of [0, length] that no open
+    interval (lo[i], hi[i]) meets; x == y is a single point."""
+    keep = lo < hi
+    order = np.argsort(lo[keep])
+    lo, hi = np.append(lo[keep][order], np.inf), hi[keep][order]
+    # reach[i]: 0 or the largest hi before interval i in order of lo
+    reach = np.maximum.accumulate(np.concatenate([[0.0], hi]))
+    gap = (lo >= reach) & (reach <= length)
+    return list(zip(reach[gap].tolist(), np.minimum(lo[gap], length).tolist()))
 
 
-def is_prismatic(ds: DirectionSpace, tol: float = COORD_TOL) -> bool:
-    """True iff every direction has a shadow with more than one element."""
+def _graph_witness_candidates(ds: GraphDirections):
+    """Directions that include one with a trivial shadow if any has one.
+
+    The shadow of q has more than one element iff ecc(q) > pi, or ecc(q) = pi
+    with two or more farthest points.  On edge e, ecc(o) is the largest
+    trapezoid of `_eccentricity_trapezoids`, so it exceeds pi + COORD_TOL
+    on the union of the intervals (c - alpha, delta - c) with beta > c.  In
+    each gap of that union, every farthest point is fixed or moves linearly
+    between the offsets where d(o, x) turns from the route through u to the
+    route through v or a trapezoid crosses pi -/+ COORD_TOL; those offsets
+    and the midpoints between them are the candidates.  (Where ecc < pi -
+    COORD_TOL the shadow is empty; such a stretch lies between crossings.)"""
+    dist, u, v, length = ds._endpoint_arrays
+    alpha, beta, delta = _eccentricity_trapezoids(ds)
+    turns = (dist[v] + length[:, None] - dist[u]) / 2.0
+    low, high = PI - COORD_TOL, PI + COORD_TOL
+    for eid, edge_length in enumerate(length.tolist()):
+        a, b, d = alpha[eid], beta[eid], delta[eid]
+        cuts = np.concatenate([turns[eid], low - a, d - low, high - a, d - high])
+        for x, y in _uncovered(high - a[b > high], d[b > high] - high, edge_length):
+            offs = sorted({x, y, *cuts[(cuts > x) & (cuts < y)].tolist()})
+            mids = [(p + q) / 2.0 for p, q in zip(offs, offs[1:])]
+            yield from ((eid, off) for off in offs + mids)
+
+
+def is_prismatic(ds: DirectionSpace) -> bool:
+    """True iff every direction has a shadow with more than one element.
+
+    Finitely many directions decide it: every direction of a finite set, one
+    direction of a circle (a rotation carries its shadow to any other), and
+    `_graph_witness_candidates` on a graph."""
     if isinstance(ds, FiniteDirections):
-        return all(
-            sum(1 for j in range(ds.size) if ds.angles[i][j] >= PI - tol) >= 2
-            for i in range(ds.size))
-    if isinstance(ds, CircleDirections):
-        return ds.alpha > 2.0 * PI + tol
-    # graph: the shadow of q is {x : d(q, x) >= pi}; it has more than one
-    # element iff the eccentricity of q exceeds pi (a neighborhood of the
-    # farthest point is then in the shadow) or equals pi with two or more
-    # farthest points.
-    for eid, (_u, _v, length) in enumerate(ds.edges):
-        ecc = _graph_eccentricity(ds, eid)
-        verdict, payload = _scan_edge_ecc(ecc, length, tol)
-        if verdict == "below":
-            return False
-        if verdict == "critical":
-            for off in payload:
-                if shadow(ds, (eid, off)).is_trivial:
-                    return False
-    return True
+        candidates = range(ds.size)
+    elif isinstance(ds, CircleDirections):
+        candidates = (0.0,)
+    else:
+        candidates = _graph_witness_candidates(ds)
+    return not any(shadow(ds, c).is_trivial for c in candidates)
 
 
 def open_book_prismatic(sp: OpenBook) -> bool:

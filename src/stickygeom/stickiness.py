@@ -278,9 +278,26 @@ def tail_bound(c_min: float, k: float, n: int) -> float:
 # exact spider resampling oracle
 # ---------------------------------------------------------------------------
 
+def _count_blocks(n: int, m: int):
+    """Every vector of m nonnegative counts summing to n, in lexicographic
+    order, in blocks of rows that share the first count."""
+    for first in range(n + 1) if m > 1 else (n,):
+        rows = np.array([[first, n - first]])[:, :m]  # m = 1: [[n]]
+        for _ in range(m - 2):
+            # split each row's last count t into (c, t - c) for c = 0..t
+            t = rows[:, -1]
+            start = np.repeat(np.cumsum(t + 1) - (t + 1), t + 1)
+            c = np.arange(len(start)) - start
+            rows = np.column_stack([np.repeat(rows[:, :-1], t + 1, axis=0), c,
+                                    np.repeat(t, t + 1) - c])
+        yield rows
+
+
 def _spider_enumeration(sp: Cone, mu: Measure, n: int):
     """Distribution of max(0, -smallest empirical derivative) over all
-    resample count vectors; exact, for spider cones with at most 4 atoms."""
+    resample count vectors; exact, for spider cones with at most 4 atoms.
+    Yields (dist, pmf) per block of `_count_blocks`, so memory holds one
+    block at a time."""
     if not (isinstance(sp, Cone) and isinstance(sp.directions, FiniteDirections)
             and sp.directions.is_spider):
         raise ValueError("exact enumeration needs a spider cone")
@@ -297,52 +314,24 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int):
     logw = np.log(np.array(mu.weights()))
     lg = gammaln(np.arange(n + 2))
 
-    def leg_matrix(counts):
-        # counts: (..., m); returns S and max leg sum
+    for counts in _count_blocks(n, m):
         contrib = counts * radii
-        total = contrib.sum(axis=-1)
         sums = {}
         for i, leg in enumerate(legs):
-            sums[leg] = sums.get(leg, 0) + contrib[..., i]
-        best = None
-        for v in sums.values():
-            best = v if best is None else np.maximum(best, v)
-        return total, best
-
-    if m == 1:
-        counts = np.array([[n]])
-    elif m == 2:
-        c0 = np.arange(n + 1)
-        counts = np.stack([c0, n - c0], axis=-1)
-    elif m == 3:
-        rows = []
-        for c0 in range(n + 1):
-            c1 = np.arange(n - c0 + 1)
-            rows.append(np.stack([np.full_like(c1, c0), c1, n - c0 - c1], axis=-1))
-        counts = np.concatenate(rows, axis=0)
-    else:
-        rows = []
-        for c0 in range(n + 1):
-            for c1 in range(n - c0 + 1):
-                c2 = np.arange(n - c0 - c1 + 1)
-                rows.append(np.stack([np.full_like(c2, c0), np.full_like(c2, c1),
-                                      c2, n - c0 - c1 - c2], axis=-1))
-        counts = np.concatenate(rows, axis=0)
-    logpmf = lg[n + 1] - lg[counts + 1].sum(axis=-1) + (counts * logw).sum(axis=-1)
-    pmf = np.exp(logpmf)
-    total, best = leg_matrix(counts)
-    dist = np.maximum(0.0, (2.0 * best - total) / n)
-    return dist, pmf
+            sums[leg] = sums.get(leg, 0) + contrib[:, i]
+        best = np.max(list(sums.values()), axis=0)
+        logpmf = lg[n + 1] - lg[counts + 1].sum(axis=-1) + (counts * logw).sum(axis=-1)
+        yield np.maximum(0.0, (2.0 * best - contrib.sum(axis=-1)) / n), np.exp(logpmf)
 
 
 def exact_nonstick_probability(sp: Cone, mu: Measure, n: int) -> float:
     """Exact probability that an n-sample mean leaves the cone point, by
     enumeration of multinomial resample counts (spider cones, <= 4 atoms)."""
-    dist, pmf = _spider_enumeration(sp, mu, n)
-    return float(pmf[dist > 0.0].sum())
+    return math.fsum(float(pmf[dist > 0.0].sum())
+                     for dist, pmf in _spider_enumeration(sp, mu, n))
 
 
 def exact_mean_distance_moment(sp: Cone, mu: Measure, n: int, q: float) -> float:
     """Exact E[d(cone point, mean of n-sample)^q] for spider cones."""
-    dist, pmf = _spider_enumeration(sp, mu, n)
-    return float((pmf * dist ** q).sum())
+    return math.fsum(float((pmf * dist ** q).sum())
+                     for dist, pmf in _spider_enumeration(sp, mu, n))

@@ -142,6 +142,21 @@ def test_prismatic_true_fixtures(tmp_path):
         assert json.loads(out.read_text()) == {"prismatic": True}
 
 
+def test_prismatic_theta_graph(tmp_path):
+    # three edges of length pi between two vertices: each vertex has the
+    # other as its only farthest point, so the cone point is not prismatic
+    config = tmp_path / "theta.json"
+    config.write_text(json.dumps({
+        "space": {"kind": "graph_cone", "vertices": 2,
+                  "edges": [[0, 1, math.pi]] * 3},
+        "measure": {"atoms": [{"point": {"dir": [0, 1.0], "r": 1.0},
+                               "weight": 1.0}]},
+    }))
+    out = tmp_path / "p.json"
+    assert main(["prismatic", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"prismatic": False}
+
+
 def test_sample_sim_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

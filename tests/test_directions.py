@@ -76,6 +76,25 @@ def test_one_graph_metric(kind):
         assert system.pull_matrix(coords).tobytes() == want.tobytes(), kind
 
 
+@pytest.mark.parametrize("kind", sorted(GRAPH_MAKERS))
+def test_vertex_table_is_symmetric(kind):
+    """The vertex-distance table equals its transpose, so the endpoint rule
+    from vertex w and the scalar distance from w's coordinate agree bit for
+    bit when `distance` reads the rule from the other argument's edge."""
+    rng = np.random.default_rng(83)
+    for _ in range(30):
+        sp = GRAPH_MAKERS[kind](rng)
+        ds = sp.directions
+        table = np.array(ds._vertex_dist)
+        assert table.tobytes() == table.T.tobytes(), kind
+        for _ in range(12):
+            w = int(rng.integers(0, ds.vertex_count))
+            c = ds.canonical(gen.random_direction(sp, rng))
+            home = ds.canonical(ds._vertex_home[w])
+            if home < c:
+                assert ds.vertex_to_coord(w, c) == ds.distance(home, c), (kind, w, c)
+
+
 PIECE_MAKERS = {
     "kale": SPACE_MAKERS["kale"],
     "plane": SPACE_MAKERS["plane"],

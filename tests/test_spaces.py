@@ -314,6 +314,9 @@ def test_shadow_graph_membership(petersen):
     (S.circle_directions(3 * PI), True),
     (S.circle_directions(4.0), False),
     (S.petersen_directions(), True),
+    # one edge: its middle has eccentricity half its length
+    (S.graph_directions(2, [(0, 1, 1.5 * PI)]), False),
+    (S.graph_directions(2, [(0, 1, 2.5 * PI)]), True),
 ])
 def test_is_prismatic(ds, expected):
     assert S.is_prismatic(ds) is expected
@@ -322,6 +325,132 @@ def test_is_prismatic(ds, expected):
 def test_petersen_short_edges_not_prismatic():
     # with very short edges every point has eccentricity below pi
     assert not S.is_prismatic(S.petersen_directions(0.3))
+
+
+def _theta(k):
+    # k edges of length pi between two vertices
+    return S.graph_directions(2, [(0, 1, PI)] * k)
+
+
+BORDERLINE = {
+    "theta3": lambda: _theta(3),
+    "theta6": lambda: _theta(6),
+    # six paths of two pi/2 edges between vertices 0 and 1
+    "paths6": lambda: S.graph_directions(8, [
+        e for m in range(2, 8) for e in ((0, m, PI / 2), (m, 1, PI / 2))]),
+    "cycle_2pi": lambda: S.graph_directions(
+        4, [(i, (i + 1) % 4, PI / 2) for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BORDERLINE))
+def test_eccentricity_pi_on_whole_edges_not_prismatic(name):
+    # eccentricity is pi on every edge; vertex 0 has a single farthest point
+    ds = BORDERLINE[name]()
+    assert S.is_prismatic(ds) is False
+    assert S.shadow(ds, ds.canonical((0, 0.0))).is_trivial
+
+
+def _square_with_pendants():
+    # a 2 pi square with pendant edges: every direction has eccentricity
+    # above pi except [pi/8, 3 pi/8] on edge 0, where it is pi and the
+    # antipode on edge 2 is the only farthest point inside the interval
+    return S.graph_directions(8, [
+        (0, 1, PI / 2), (1, 2, PI / 2), (2, 3, PI / 2), (3, 0, PI / 2),
+        (0, 4, PI / 2), (1, 5, PI / 2), (2, 6, PI / 8), (3, 7, PI / 8)])
+
+
+def _cycle_with_doubled_far_side():
+    # a 2 pi cycle 0-1-2-3-4-0 whose edges 2-3 and 3-4 are doubled, with
+    # pendants at 0 and 1: from (0, o), eccentricity is pi with one antipode
+    # on each copy, except at o = pi/3, where both copies meet at vertex 3
+    return S.graph_directions(7, [
+        (0, 1, PI / 2), (1, 2, PI / 2), (2, 3, PI / 3), (2, 3, PI / 3),
+        (3, 4, PI / 6), (3, 4, PI / 6), (4, 0, PI / 2),
+        (0, 5, PI / 2), (1, 6, PI / 2)])
+
+
+@pytest.mark.parametrize("make,trivial,nontrivial", [
+    (_square_with_pendants, [PI / 4, 0.15 * PI, 0.35 * PI],
+     [0.0, PI / 16, PI / 8, 3 * PI / 8, 7 * PI / 16, PI / 2]),
+    (_cycle_with_doubled_far_side, [PI / 3],
+     [0.0, PI / 8, PI / 4, PI / 3 - 1e-6, PI / 3 + 1e-6, 3 * PI / 8, PI / 2]),
+], ids=["square_with_pendants", "doubled_far_side"])
+def test_trivial_shadow_inside_an_edge(make, trivial, nontrivial):
+    """Eccentricity is pi on a whole interval of edge 0, and the shadow is
+    trivial only on a sub-interval of it (or at one offset); no vertex is a
+    witness."""
+    ds = make()
+    assert S.is_prismatic(ds) is False
+    assert all(S.shadow(ds, (0, off)).is_trivial for off in trivial)
+    assert not any(S.shadow(ds, (0, off)).is_trivial for off in nontrivial)
+    assert not any(S.shadow(ds, ds.canonical((e, o))).is_trivial
+                   for e, (_, _, length) in enumerate(ds.edges)
+                   for o in (0.0, length))
+
+
+def test_eccentricity_pi_with_two_farthest_points_is_prismatic():
+    # three pi edges between two vertices, with pendants that lift the
+    # vertices and the edge ends above pi: the middle of each pi edge has
+    # eccentricity pi and a farthest point on each other pi edge
+    ds = S.graph_directions(4, [(0, 1, PI)] * 3 + [(0, 2, 0.25), (1, 3, 0.25)])
+    assert S.is_prismatic(ds) is True
+    assert not S.shadow(ds, (0, PI / 2)).is_trivial
+
+
+def _eccentricity_bracket(ds, h):
+    """Lower and upper bounds on the smallest eccentricity of any direction,
+    from points at spacing <= h on every edge: a test-local Floyd-Warshall
+    table, the distance between every two sampled points, and 1-Lipschitz
+    widening by h/2 on each side."""
+    n = ds.vertex_count
+    table = np.full((n, n), np.inf)
+    np.fill_diagonal(table, 0.0)
+    for u, v, length in ds.edges:
+        table[u, v] = table[v, u] = min(table[u, v], length)
+    for w in range(n):
+        table = np.minimum(table, table[:, [w]] + table[[w], :])
+    eids, offs = [], []
+    for eid, (_, _, length) in enumerate(ds.edges):
+        k = int(math.ceil(length / h)) + 1
+        eids += [eid] * k
+        offs += np.linspace(0.0, length, k).tolist()
+    eids, offs = np.array(eids), np.array(offs)
+    ends = np.array(ds.edges)[eids]
+    u, v, length = ends[:, 0].astype(int), ends[:, 1].astype(int), ends[:, 2]
+    # (points, vertices): distance from each sampled point to each vertex
+    to_vertex = np.minimum(offs[:, None] + table[u], (length - offs)[:, None] + table[v])
+    dist = np.minimum(to_vertex[:, u] + offs, to_vertex[:, v] + (length - offs))
+    same = eids[:, None] == eids[None, :]
+    dist = np.where(same, np.minimum(dist, np.abs(offs[:, None] - offs)), dist)
+    ecc = dist.max(axis=1)
+    return ecc.min() - h / 2.0, ecc.min() + h / 2.0
+
+
+def test_prismatic_matches_dense_eccentricity_bracket():
+    """On random trees, cycles near 2 pi and Petersen graphs, the verdict is
+    True where every direction has eccentricity above pi and False where one
+    has eccentricity below pi (its shadow is empty).  Graphs whose bracket
+    holds pi are skipped."""
+    rng = np.random.default_rng(1106)
+    decided = {True: 0, False: 0}
+    for i in range(360):
+        if i % 3 == 0:
+            ds = gen.random_tree_graph_cone(rng).directions
+        elif i % 3 == 1:
+            ds = gen.random_cycle_graph_cone(rng, 1.5 * PI, 2.5 * PI).directions
+        else:
+            ds = S.petersen_directions(float(rng.uniform(0.3, 1.2)))
+        lo, hi = _eccentricity_bracket(ds, 0.02)
+        if lo > PI:
+            want = True
+        elif hi < PI:
+            want = False
+        else:
+            continue
+        assert S.is_prismatic(ds) is want, (i, ds.edges, lo, hi)
+        decided[want] += 1
+    assert sum(decided.values()) >= 300 and min(decided.values()) >= 50, decided
 
 
 def test_open_book_spine_not_prismatic():

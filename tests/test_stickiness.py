@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -286,6 +287,36 @@ def test_exact_enumeration_against_binomial(spider3, thirds):
     for n in (5, 21, 101):
         assert ST.exact_nonstick_probability(spider3, thirds, n) \
             == pytest.approx(exact_symmetric_nonstick(n), abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_exact_enumeration_against_brute_force(m):
+    """Every count vector appears once, in blocks that share the first
+    count, and both exact oracles equal a sum over itertools.product."""
+    rng = np.random.default_rng(60 + m)
+    sp = S.spider(3)
+    for n in (1, 7, 12):
+        counts = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n]
+        blocks = list(ST._count_blocks(n, m))
+        assert np.concatenate(blocks).tolist() == [list(c) for c in counts]
+        assert all(len(set(b[:, 0].tolist())) == 1 for b in blocks)
+        legs = rng.integers(0, 3, size=m).tolist()
+        radii = rng.uniform(0.5, 1.5, size=m).tolist()
+        weights = rng.dirichlet(np.ones(m)).tolist()
+        mu = S.measure(sp, [((g, r), w) for g, r, w in zip(legs, radii, weights)])
+        prob, moment = [], []
+        for c in counts:
+            pmf = math.factorial(n) * math.prod(
+                w ** k / math.factorial(k) for w, k in zip(weights, c))
+            best = max(sum(k * r for k, r, g in zip(c, radii, legs) if g == leg)
+                       for leg in range(3))
+            dist = max(0.0, (2.0 * best - sum(k * r for k, r in zip(c, radii))) / n)
+            prob.append(pmf if dist > 0.0 else 0.0)
+            moment.append(pmf * dist ** 2)
+        assert ST.exact_nonstick_probability(sp, mu, n) == pytest.approx(
+            math.fsum(prob), abs=1e-12)
+        assert ST.exact_mean_distance_moment(sp, mu, n, 2.0) == pytest.approx(
+            math.fsum(moment), abs=1e-12)
 
 
 def test_sample_sticking_matches_exact(spider3, thirds):

@@ -42,6 +42,9 @@ def _require_mean_at_apex(sp: Cone, mu: Measure):
     return system
 
 
+MODULATION_METHODS = ("auto", "exact", "mc")
+
+
 def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
                method: str = "auto", threads: int = 1) -> ModulationEstimate:
     """Moment modulation at sample size n.
@@ -56,7 +59,7 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
     if denom <= 0.0:
         raise ValueError("modulation denominator vanishes (point mass at the apex)")
     scale = float(n) ** (q / 2.0)
-    if method not in ("auto", "exact", "mc"):
+    if method not in MODULATION_METHODS:
         raise ValueError(f"unknown modulation method {method!r}")
     if method in ("auto", "exact"):
         try:

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import asymptotics, frechet, stickiness, transport
+from .asymptotics import MODULATION_METHODS
 from .spaces import (
     Cone,
     FiniteDirections,
@@ -168,14 +169,28 @@ def validate(config_text: str, command: str | None = None,
                             threads), []
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
-    if cmd in STOCHASTIC and not isinstance(params.get("seed"), int):
-        errors.append(f"/parameters/seed: integer seed required for {cmd}")
+    seed = params.get("seed")
+    if cmd in STOCHASTIC and not (_is_int(seed) and 0 <= seed < 2 ** 128):
+        errors.append(f"/parameters/seed: integer seed in [0, 2**128) required "
+                      f"for {cmd}")
     if cmd in TWO_MEASURE and "measure2" not in data:
         errors.append(f"/measure2: required for {cmd}")
-    if cmd == "divergence" and "measure2" not in data \
-            and not ("y" in params and "t" in params):
-        errors.append("/measure2: required for divergence (or give parameters y, t)")
+    if cmd == "divergence" and "measure2" not in data:
+        if not ("y" in params and "t" in params):
+            errors.append("/measure2: required for divergence (or give "
+                          "parameters y, t)")
+        elif not (_is_number(params["t"]) and 0 <= params["t"] < 1):
+            errors.append("/parameters/t: number in [0, 1) required")
     if cmd in CONE_ONLY and space is not None and isinstance(space, OpenBook):
         errors.append(f"/space: {cmd} is not supported on open books")
     if cmd == "perturb" and "y" not in params:
@@ -200,16 +215,23 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
     if cmd in ("sample-sim", "modulation"):
         grid = params.get("n_grid")
         if not isinstance(grid, list) or not grid \
-                or any(not isinstance(n, int) or n <= 0 for n in grid) \
+                or any(not _is_int(n) or n <= 0 for n in grid) \
                 or any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append("/parameters/n_grid: strictly increasing positive "
                           "integers required")
-    if cmd in ("sample-sim", "modulation", "clt"):
+    if cmd in STOCHASTIC:
+        least = 2 if cmd == "clt" else 1  # a covariance needs two trials
         trials = params.get("trials")
-        if not isinstance(trials, int) or trials <= 0:
-            errors.append("/parameters/trials: positive integer required")
+        if not _is_int(trials) or trials < least:
+            errors.append(f"/parameters/trials: integer >= {least} required")
+    if cmd == "sample-sim" and "k" in params \
+            and not (_is_number(params["k"]) and params["k"] >= 0):
+        errors.append("/parameters/k: covering exponent must be a finite number >= 0")
+    if cmd == "modulation" and params.get("method", "auto") not in MODULATION_METHODS:
+        errors.append(
+            f"/parameters/method: must be one of {', '.join(MODULATION_METHODS)}")
     if cmd == "clt":
-        if not isinstance(params.get("n"), int) or params.get("n", 0) <= 0:
+        if not _is_int(params.get("n")) or params["n"] <= 0:
             errors.append("/parameters/n: positive integer sample size required")
         if space is not None and isinstance(space, Cone) \
                 and not isinstance(space.directions, FiniteDirections) \
@@ -221,13 +243,12 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
         errors.append(
             f"/parameters/kind: must be one of {', '.join(sorted(BUILTIN_DIVERGENCES))}")
     q = params.get("q")
-    if q is not None and (not isinstance(q, (int, float)) or q < 1):
-        errors.append("/parameters/q: must be a number >= 1")
-    for tkey in ("t_grid",):
-        tg = params.get(tkey)
-        if tg is not None and (not isinstance(tg, list) or any(
-                not isinstance(t, (int, float)) or not 0 <= t <= 1 for t in tg)):
-            errors.append(f"/parameters/{tkey}: list of fractions in [0, 1] required")
+    if q is not None and not (_is_number(q) and q >= 1):
+        errors.append("/parameters/q: must be a finite number >= 1")
+    tg = params.get("t_grid")
+    if tg is not None and (not isinstance(tg, list) or any(
+            not _is_number(t) or not 0 <= t <= 1 for t in tg)):
+        errors.append("/parameters/t_grid: list of fractions in [0, 1] required")
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +263,8 @@ def _coord_json(coord):
 
 def _coord_csv(coord):
     if isinstance(coord, tuple):
-        return f"{coord[0]}:{_fmt(coord[1])}"
-    if isinstance(coord, float):
-        return _fmt(coord)
-    return str(coord)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+        return f"{coord[0]}:{_csv_cell(coord[1])}"
+    return _csv_cell(coord)
 
 
 def run_config(cfg: ExperimentConfig):
@@ -266,7 +279,7 @@ def _cmd_mean(cfg):
     report = {"mean": point_to_json(cfg.space, m), "frechet_value": val}
     rows = [{"mean_dir": _coord_csv(m.direction), "mean_r": m.radius,
              "frechet_value": val}]
-    return report, rows, f"mean: {point_to_json(cfg.space, m)} F={_fmt(val)}"
+    return report, rows, f"mean: {point_to_json(cfg.space, m)} F={_csv_cell(val)}"
 
 
 def _cmd_derivs(cfg):
@@ -283,7 +296,7 @@ def _cmd_derivs(cfg):
         "min_value": prof.min_value,
         "lipschitz": prof.lipschitz,
     }
-    return report, rows, f"derivs: min={_fmt(prof.min_value)} at {prof.argmin}"
+    return report, rows, f"derivs: min={_csv_cell(prof.min_value)} at {prof.argmin}"
 
 
 def _cmd_classify(cfg):
@@ -298,7 +311,7 @@ def _cmd_classify(cfg):
     rows = [{"label": rep.label, "c_min": rep.c_min,
              "argmin_direction": _coord_csv(rep.argmin_direction),
              "pull_condition": rep.pull_condition}]
-    return report, rows, f"classify: label={rep.label} c_min={_fmt(rep.c_min)}"
+    return report, rows, f"classify: label={rep.label} c_min={_csv_cell(rep.c_min)}"
 
 
 def _cmd_perturb(cfg):
@@ -314,7 +327,7 @@ def _cmd_perturb(cfg):
               "labels": [r["label"] for r in rows]}
     if not rows:
         rows = [{"t": t_star, "label": "threshold", "c_min": 0.0}]
-    return report, rows, f"perturb: threshold={_fmt(t_star)}"
+    return report, rows, f"perturb: threshold={_csv_cell(t_star)}"
 
 
 def _cmd_wasserstein(cfg):
@@ -324,7 +337,7 @@ def _cmd_wasserstein(cfg):
     if isinstance(cfg.space, Cone) and q == 1.0:
         report["w1_tree"] = transport.w1_tree(cfg.space, cfg.measure, cfg.measure2)
     rows = [{k: v for k, v in report.items()}]
-    return report, rows, f"wasserstein: W_{_fmt(q)}={_fmt(wq)}"
+    return report, rows, f"wasserstein: W_{_csv_cell(q)}={_csv_cell(wq)}"
 
 
 def _cmd_divergence(cfg):
@@ -343,7 +356,7 @@ def _cmd_divergence(cfg):
         value = direct
         report.update({"value": direct, "closed_form": closed, "t": t})
     rows = [dict(report)]
-    return report, rows, f"divergence: {kind.name}={_fmt(value)}"
+    return report, rows, f"divergence: {kind.name}={_csv_cell(value)}"
 
 
 def _cmd_sample_sim(cfg):
@@ -364,8 +377,8 @@ def _cmd_sample_sim(cfg):
     report = {"label": rep.label, "c_min": rep.c_min, "seed": seed,
               "rows": rows, "log_slope": slope}
     tail = rows[-1]
-    return report, rows, (f"sample-sim: p_hat(n={tail['n']})={_fmt(tail['p_hat'])}"
-                          f" se={_fmt(tail['se'])}")
+    return report, rows, (f"sample-sim: p_hat(n={tail['n']})="
+                          f"{_csv_cell(tail['p_hat'])} se={_csv_cell(tail['se'])}")
 
 
 def _cmd_modulation(cfg):
@@ -380,7 +393,8 @@ def _cmd_modulation(cfg):
                                      method=method, threads=cfg.threads)
         rows.append({"n": n, "q": q, "m_hat": est.m_hat, "se": est.se})
     report = {"q": q, "seed": seed, "rows": rows}
-    return report, rows, f"modulation: m_hat(n={rows[-1]['n']})={_fmt(rows[-1]['m_hat'])}"
+    tail = rows[-1]
+    return report, rows, f"modulation: m_hat(n={tail['n']})={_csv_cell(tail['m_hat'])}"
 
 
 def _cmd_clt(cfg):
@@ -414,7 +428,7 @@ def _cmd_clt(cfg):
         "n": params["n"], "trials": params["trials"], "seed": params["seed"],
     }
     return report, rows, (f"clt: max |paper - centered| = "
-                          f"{_fmt(ana.max_discrepancy)}")
+                          f"{_csv_cell(ana.max_discrepancy)}")
 
 
 def _cmd_prismatic(cfg):

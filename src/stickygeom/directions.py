@@ -13,11 +13,11 @@ critical angle phi when that lies inside, else an endpoint.  The pieces of
 a measure are built once, as arrays: the circle and graph builders find the
 breakpoints, then give every atom's distance to every piece's midpoint and
 its phase there as (atoms x pieces) arrays, and `_coefficients` turns those
-into a `PieceTable` (one column per piece) by one rule.  Both minimizers
-share one closed form over the whole table: the scalar one
-adds the critical angles to the breakpoint candidates and scores them
-exactly, the batched one used by the Monte Carlo paths takes the
-closed-form values for blocks of rows at once.
+into a `PieceTable` (one column per piece) by one rule.  One closed form
+for the critical angles serves every query: the scalar minimizer scores
+them exactly with the breakpoints, the batched one used by the Monte Carlo
+paths takes their closed-form values, and `touching_angles` finds where a
+piece minimum of the perturbation threshold's mixtures reaches zero.
 """
 from __future__ import annotations
 
@@ -234,20 +234,31 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
 # minimization
 # ---------------------------------------------------------------------------
 
+def _critical_angles(table: PieceTable, a, b):
+    """Critical angles lo + mod(atan2(b, a) - lo, 2 pi) of c - a cos(theta)
+    - b sin(theta) on every piece, whether each lies in its piece (a flat
+    piece, a = b = 0, has none), and the amplitudes hypot(a, b)."""
+    radius = np.hypot(a, b)
+    theta = table.lo + np.mod(np.arctan2(b, a) - table.lo, TWO_PI)
+    return theta, (theta <= table.hi + 1e-15) & (radius > 0.0), radius
+
+
 def _piece_minimum(table: PieceTable, coeffs: np.ndarray):
     """Closed-form minimum of c - a cos(theta) - b sin(theta) on every piece
     of the table, for each row of atom coefficients (one matrix product per
-    coefficient; a 1-D row gives 1-D results).
-
-    Returns the critical angles theta* = lo + mod(atan2(b, a) - lo, 2 pi),
-    whether each theta* lies in its piece (a flat piece, a = b = 0, has
-    none), and the values c - hypot(a, b) there."""
-    a = coeffs @ table.a
-    b = coeffs @ table.b
-    radius = np.hypot(a, b)
-    theta = table.lo + np.mod(np.arctan2(b, a) - table.lo, TWO_PI)
-    inside = (theta <= table.hi + 1e-15) & (radius > 0.0)
+    coefficient; a 1-D row gives 1-D results): the critical angles, whether
+    each lies in its piece, and the values c - hypot(a, b) there."""
+    theta, inside, radius = _critical_angles(table, coeffs @ table.a, coeffs @ table.b)
     return theta, inside, coeffs @ table.c - radius
+
+
+def _inside_coords(system: DirectionSystem, theta, inside) -> list:
+    """Canonical direction coordinates of the angles (one per piece, in
+    rows or not) that lie inside their pieces."""
+    edges = np.broadcast_to(system.pieces.edge, theta.shape)[inside]
+    canonical = system.space.directions.canonical
+    return [canonical(t if system.kind == "circle" else (eid, t))
+            for t, eid in zip(theta[inside].tolist(), edges.tolist())]
 
 
 def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
@@ -258,18 +269,41 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     inside the piece.  Every candidate is scored with the exact derivative,
     and ties within TIE_TOL go to the smallest canonical coordinate."""
     w = np.asarray(weights, dtype=float)
-    table = system.pieces
-    theta, inside, _ = _piece_minimum(table, w)
-    canonical = system.space.directions.canonical
-    critical = [canonical(t if system.kind == "circle" else (eid, t))
-                for t, eid in zip(theta[inside].tolist(), table.edge[inside].tolist())]
+    theta, inside, _ = _piece_minimum(system.pieces, w)
+    critical = _inside_coords(system, theta, inside)
     coords = system.candidates + critical
     values = system.derivatives(w) + system.derivatives(w, critical)
     best = min(values)
     tol = TIE_TOL * (1.0 + abs(best))
+    canonical = system.space.directions.canonical
     _, g = min((canonical(coords[g]), g) for g, v in enumerate(values)
                if v <= best + tol)
     return coords[g], values[g]
+
+
+def touching_angles(system: DirectionSystem, row0, row1) -> list:
+    """Critical angles where the derivative of the row (1 - t) row0 + t row1
+    can reach zero at a piece minimum, for t in [0, 1].
+
+    A piece's coefficients a, b and c are affine in t, and a zero minimum
+    inside it needs c(t) = hypot(a(t), b(t)): one quadratic in t per piece.
+    Its roots only locate the angles; the caller scores them exactly, since
+    a root carries the quadratic's rounding."""
+    table = system.pieces
+    rows = np.array([row0, row1], dtype=float)
+    (a0, a1), (b0, b1), (c0, c1) = rows @ table.a, rows @ table.b, rows @ table.c
+    da, db, dc = a1 - a0, b1 - b0, c1 - c0
+    # c(t)^2 - a(t)^2 - b(t)^2 = qa t^2 + 2 qb t + qc; q keeps the roots
+    # q / qa and qc / q free of cancellation, and no real root leaves nan
+    qa = dc * dc - da * da - db * db
+    qb = c0 * dc - a0 * da - b0 * db
+    qc = c0 * c0 - a0 * a0 - b0 * b0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+        t = np.array([q / qa, qc / q])
+    t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)  # nan: no angle
+    theta, inside, _ = _critical_angles(table, a0 + t * da, b0 + t * db)
+    return _inside_coords(system, theta, inside)
 
 
 def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndarray:

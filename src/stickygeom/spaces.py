@@ -164,29 +164,48 @@ class GraphDirections:
         dv = self._vertex_dist[w]
         return min(dv[u] + off, dv[v] + (length - off))
 
-    def endpoint_distances(self, coords) -> tuple[np.ndarray, np.ndarray]:
-        """`vertex_to_coord` from every edge's first endpoint and from its
-        second endpoint to every coordinate: two (edges, len(coords)) arrays."""
+    def _from_vertices(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # `vertex_to_coord` from every vertex to every coordinate, as a
+        # (vertices, len(coords)) array, with the coordinates' edges and offsets
         dist, u, v, length = self._endpoint_arrays
         eids = np.array([e for e, _ in coords], dtype=int)
         offs = np.array([o for _, o in coords], dtype=float)
-        # (vertices, coords): the endpoint rule from every vertex
         near = np.minimum(dist[:, u[eids]] + offs,
                           dist[:, v[eids]] + (length[eids] - offs))
-        return near[u], near[v]
+        return near, eids, offs
+
+    def endpoint_distances(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """`vertex_to_coord` from every edge's first endpoint and from its
+        second endpoint to every coordinate: two (edges, len(coords)) arrays."""
+        near = self._from_vertices(coords)[0]
+        return near[self._endpoint_arrays[1]], near[self._endpoint_arrays[2]]
 
     def distances(self, a, b) -> np.ndarray:
         """Distances between coordinate lists as a (len(a), len(b)) array: the
         endpoint rule from the ends of b's edge, or along an edge a and b
-        share."""
-        length = self._endpoint_arrays[3]
-        ra, rb = self.endpoint_distances(a)
-        eb = np.array([e for e, _ in b], dtype=int)
-        ob = np.array([o for _, o in b], dtype=float)
-        ea = np.array([e for e, _ in a], dtype=int)[:, None]
-        oa = np.array([o for _, o in a], dtype=float)[:, None]
-        dist = np.minimum(ra[eb].T + ob, rb[eb].T + (length[eb] - ob))
-        return np.minimum(dist, np.where(ea == eb, np.abs(ob - oa), np.inf))
+        share, or from a vertex argument's own row, as `distance` reads
+        them."""
+        _, u, v, length = self._endpoint_arrays
+        near_a, ea, oa = self._from_vertices(a)
+        near_b, eb, ob = self._from_vertices(b)
+        dist = np.minimum(near_a[u[eb]].T + ob, near_a[v[eb]].T + (length[eb] - ob))
+        dist = np.minimum(dist, np.where(ea[:, None] == eb, np.abs(ob - oa[:, None]),
+                                         np.inf))
+        # a vertex reads the rule from its own row of the table, as
+        # vertex_to_coord does; of two vertices, the first in canonical order
+        wa, wb = self._vertex_at(ea, oa), self._vertex_at(eb, ob)
+        cols, rows = np.flatnonzero(wb >= 0), np.flatnonzero(wa >= 0)
+        dist[:, cols] = near_a[wb[cols]].T
+        ea, oa = ea[rows, None], oa[rows, None]
+        b_first = (wb >= 0) & ((eb < ea) | ((eb == ea) & (ob < oa)))
+        dist[rows] = np.where(b_first, dist[rows], near_b[wa[rows]])
+        return dist
+
+    def _vertex_at(self, eids: np.ndarray, offs: np.ndarray) -> np.ndarray:
+        # the vertex at each coordinate, -1 inside an edge
+        _, u, v, length = self._endpoint_arrays
+        return np.where(offs == 0.0, u[eids],
+                        np.where(offs == length[eids], v[eids], -1))
 
     def distance(self, a, b) -> float:
         ca, cb = self.canonical(a), self.canonical(b)
@@ -197,6 +216,11 @@ class GraphDirections:
         (ea, oa), (eb, ob) = ca, cb
         ua, va, la = self.edges[ea]
         u, v, length = self.edges[eb]
+        # a vertex reads the rule from its own row (of two, the first does)
+        if oa == 0.0 or oa == la:
+            return self.vertex_to_coord(ua if oa == 0.0 else va, cb)
+        if ob == 0.0 or ob == length:
+            return self.vertex_to_coord(u if ob == 0.0 else v, ca)
         # vertex_to_coord(u, ca) + ob and vertex_to_coord(v, ca) + (length - ob),
         # inlined: this is the hot scalar path of cone distances
         du, dv = self._vertex_dist[u], self._vertex_dist[v]

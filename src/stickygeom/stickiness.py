@@ -9,13 +9,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._mc import resample_counts
-from .directions import TIE_TOL, batch_min_derivative, build_system, min_derivative
-from .frechet import (
-    book_mean_over,
-    directional_derivative,
-    mean_from_min_derivative,
-    pull,
-)
+from .directions import (TIE_TOL, batch_min_derivative, build_system,
+                         min_derivative, touching_angles)
+from .frechet import book_mean_over, directional_derivative, mean_from_min_derivative
 from .spaces import (
     PI,
     CircleDirections,
@@ -114,12 +110,6 @@ def pull_condition(sp: Cone, mu: Measure) -> bool:
     if not carried:
         return False  # the pull vanishes everywhere for a point mass at the apex
     ds = sp.directions
-    if isinstance(ds, FiniteDirections):
-        for sigma in range(ds.size):
-            if all(abs(ds.distance(sigma, z.direction) - PI / 2.0) <= 1e-12
-                   for z in carried):
-                return False
-        return True
     for sigma in _right_angle_set(ds, carried[0].direction):
         if all(abs(min(ds.distance(sigma, z.direction), PI) - PI / 2.0) <= 1e-12
                for z in carried):
@@ -128,8 +118,11 @@ def pull_condition(sp: Cone, mu: Measure) -> bool:
 
 
 def _right_angle_set(ds, direction):
-    """Directions at distance exactly pi/2 from the given one (finite set:
-    the distance functions are piecewise linear with slopes +-1)."""
+    """Directions at distance exactly pi/2 from the given one (graphs: the
+    distance functions are piecewise linear with slopes +-1); a finite set
+    gives all its directions."""
+    if isinstance(ds, FiniteDirections):
+        return range(ds.size)
     if isinstance(ds, CircleDirections):
         if ds.alpha < PI:
             return []
@@ -158,68 +151,38 @@ def _right_angle_set(ds, direction):
 def perturbation_threshold(sp: Space, mu: Measure, y: Point,
                            tol: float = CLASSIFY_TOL) -> float:
     """Largest mixing weight t such that (1-t) mu + t delta_y keeps its mean
-    at the cone point (open books: on the spine).
+    at the cone point (open books: on the spine); 0 for a nonsticky mu.
 
-    The derivative in each direction is affine in t, so for finite direction
-    sets the threshold is the smallest positive per-direction root; circles
-    and graphs bisect the concave map t -> smallest derivative."""
+    Each direction derivative of the mixture is affine in t, D_t = (1-t) D_0
+    + t D_1 with D_1 = -pull_y, so where D_1 < 0 it reaches zero at
+    t = D_0+ / (D_0+ - D_1); the threshold is the smallest such t, or 1.  It
+    lies at a breakpoint or at a critical angle from `touching_angles`, and
+    every candidate is scored with exact derivatives."""
     if isinstance(sp, OpenBook):
         # the mixture's mean stays on the spine iff its marginal's stays at the apex
         sp, mu = sp.spider, spider_marginal(sp, mu)
     if not isinstance(sp, Cone):
         raise ValueError("perturbation_threshold expects a cone or open book")
     y = point(sp, y.direction, y.radius)
-    system = build_system(sp, mu)
-    _, c_min = min_derivative(system, mu.weights())
+    # the mixture's support is fixed across t, so one system serves every t:
+    # its coefficient rows are (1-t) mu_row + t y_row
+    mixed = perturbed_measure(sp, mu, y, 0.5)
+    system = build_system(sp, mixed)
+    points = mixed.points()
+    mu_row, y_row = np.zeros((2, mixed.size))
+    mu_row[[points.index(z) for z in mu.points()]] = mu.weights()
+    y_row[points.index(y)] = 1.0
+    argmin, c_min = min_derivative(system, mu_row)
     if c_min < -tol:
         return 0.0
-    if y.radius == 0.0:
-        return 1.0  # mixing with the apex mass never unsticks
-    if isinstance(sp.directions, FiniteDirections):
-        vals = system.derivatives(mu.weights())  # candidates: every direction
-        pulls = [pull(sp, j, y) for j in range(sp.directions.size)]
-        return _finite_threshold(vals, pulls)
-
-    # the mixture's support is fixed across t, so one system serves every
-    # bisection step (coefficient rows (1-t) w, t)
-    mixed = perturbed_measure(sp, mu, y, 0.5)
-    augmented = build_system(sp, mixed)
-    base = np.zeros(mixed.size)
-    for z, w in mu.atoms:
-        base[_atom_index(mixed, z)] += w
-    y_row = np.zeros(mixed.size)
-    y_row[_atom_index(mixed, point(sp, y.direction, y.radius))] = 1.0
-
-    def smallest_derivative(t: float) -> float:
-        coeffs = (1.0 - t) * base + t * y_row
-        return float(batch_min_derivative(augmented, coeffs[None, :])[0])
-
-    if smallest_derivative(1.0 - 1e-15) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0 - 1e-15
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if smallest_derivative(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _atom_index(mu: Measure, z: Point) -> int:
-    for k, (p, _) in enumerate(mu.atoms):
-        if p == z:
-            return k
-    raise ValueError("atom not found in measure")
-
-
-def _finite_threshold(derivs, pulls) -> float:
-    best = 1.0
-    for a, b in zip(derivs, pulls):
-        a = max(a, 0.0)
-        if a + b > 0.0:
-            best = min(best, a / (a + b))
-    return best + 0.0  # normalizes -0.0
+    # mu's own argmin: a boundary mu touches zero there at t = 0, where the
+    # quadratic's root can round below 0
+    extra = [argmin] + touching_angles(system, mu_row, y_row)
+    d0 = np.maximum(system.derivatives(mu_row) + system.derivatives(mu_row, extra), 0.0)
+    d1 = np.array(system.derivatives(y_row) + system.derivatives(y_row, extra))
+    falls = d1 < 0.0  # an apex y has D_1 = 0 everywhere, so t = 1
+    t = d0[falls] / (d0[falls] - d1[falls])
+    return float(np.min(t, initial=1.0)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------

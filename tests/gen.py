@@ -144,3 +144,23 @@ def random_cycle_graph_cone(rng, lo, hi):
     lengths = rng.uniform(0.5, 1.5, size=n)
     lengths *= rng.uniform(lo, hi) / lengths.sum()
     return S.graph_cone(n, [(i, (i + 1) % n, float(lengths[i])) for i in range(n)])
+
+
+def sticky_spread_measure(rng, make_space, margin=0.05):
+    """A cone from make_space(rng) with one atom on every direction (finite
+    sets) or in the middle half of every edge (graphs), redrawn until the
+    smallest derivative is at least margin."""
+    for _ in range(400):
+        sp = make_space(rng)
+        ds = sp.directions
+        if isinstance(ds, S.FiniteDirections):
+            dirs = list(range(ds.size))
+        else:
+            dirs = [(e, float(rng.uniform(0.25, 0.75)) * length)
+                    for e, (_u, _v, length) in enumerate(ds.edges)]
+        w = rng.dirichlet(np.full(len(dirs), 30.0))
+        mu = S.measure(sp, [((d, float(rng.uniform(0.8, 1.0))), wi)
+                            for d, wi in zip(dirs, w)])
+        if ST.classify(sp, mu).c_min >= margin:
+            return sp, mu
+    raise AssertionError("sticky spread generator failed to hit its margin")

@@ -253,6 +253,25 @@ BAD_DIRECTIONS = [
     # a parameter name with slashes is a path from the config root
     ("spider3_thirds.json", "classify", "measure/atoms/0/point/r", math.inf,
      "/measure/atoms/0/point/r"),
+    ("kale_2pi.json", "divergence", "t", 1.0, "/parameters/t"),
+    ("kale_2pi.json", "divergence", "t", -0.5, "/parameters/t"),
+    ("kale_2pi.json", "divergence", "t", "x", "/parameters/t"),
+    ("spider3_thirds.json", "sample-sim", "k", -1, "/parameters/k"),
+    ("spider3_thirds.json", "sample-sim", "k", "x", "/parameters/k"),
+    ("spider3_thirds.json", "clt", "trials", 1, "/parameters/trials"),
+    ("spider3_thirds.json", "modulation", "method", "foo", "/parameters/method"),
+    ("spider3_thirds.json", "wasserstein", "q", math.nan, "/parameters/q"),
+    ("spider3_thirds.json", "wasserstein", "q", math.inf, "/parameters/q"),
+    ("spider3_thirds.json", "modulation", "q", math.nan, "/parameters/q"),
+    ("spider3_thirds.json", "modulation", "q", math.inf, "/parameters/q"),
+    ("spider3_thirds.json", "sample-sim", "seed", -1, "/parameters/seed"),
+    # a name starting with -- is a command-line option instead
+    ("spider3_thirds.json", "sample-sim", "--seed", -1, "/parameters/seed"),
+    # JSON true is not the integer 1
+    ("spider3_thirds.json", "sample-sim", "seed", True, "/parameters/seed"),
+    ("spider3_thirds.json", "clt", "trials", True, "/parameters/trials"),
+    ("spider3_thirds.json", "clt", "n", True, "/parameters/n"),
+    ("spider3_thirds.json", "sample-sim", "n_grid", [True, 2], "/parameters/n_grid"),
 ]
 
 
@@ -260,16 +279,19 @@ BAD_DIRECTIONS = [
 def test_bad_direction_is_a_validation_error(tmp_path, capsys, name, cmd, key,
                                              value, pointer):
     data = json.loads(read_fixture(name))
-    path = key.split("/") if "/" in key else ["parameters", key]
-    node = data
-    for part in path[:-1]:
-        node = node[int(part) if isinstance(node, list) else part]
-    node[path[-1]] = value
+    argv = [cmd, "--config", str(tmp_path / "cfg.json")]
+    if key.startswith("--"):
+        argv += [key, str(value)]
+    else:
+        path = key.split("/") if "/" in key else ["parameters", key]
+        node = data
+        for part in path[:-1]:
+            node = node[int(part) if isinstance(node, list) else part]
+        node[path[-1]] = value
     if cmd == "divergence":
         del data["measure2"]  # so the y, t form runs
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    assert main([cmd, "--config", str(cfg)]) == 2
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config{pointer}: " in err, err
 

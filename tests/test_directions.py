@@ -50,14 +50,15 @@ GRAPH_MAKERS = {
 @pytest.mark.parametrize("kind", sorted(GRAPH_MAKERS))
 def test_one_graph_metric(kind):
     """Every graph distance is the endpoint rule over the vertex-distance
-    table, bit for bit: scalar and array, in either argument order, and
-    inside the pulls."""
+    table, bit for bit: scalar and array, in either argument order, from a
+    vertex's own row when an argument is a vertex, and inside the pulls."""
     rng = np.random.default_rng(79)
     for _ in range(30):
         sp = GRAPH_MAKERS[kind](rng)
         ds = sp.directions
         coords = [ds.canonical(gen.random_direction(sp, rng)) for _ in range(12)]
-        coords += [ds.canonical((e, l)) for e, (_, _, l) in enumerate(ds.edges)][:4]
+        coords += list(ds._vertex_home)
+        vertex = {home: w for w, home in enumerate(ds._vertex_home)}
         to_first, to_second = ds.endpoint_distances(coords)
         for eid, (u, v, _) in enumerate(ds.edges):
             for j, c in enumerate(coords):
@@ -69,6 +70,13 @@ def test_one_graph_metric(kind):
                 assert ds.distance(a, b) == ds.distance(b, a), (kind, a, b)
                 if a <= b:
                     assert table[i, j] == ds.distance(a, b), (kind, a, b)
+                # a vertex reads its own row in either argument order; of
+                # two vertices, the first in canonical order does
+                for w, other in sorted([(a, b), (b, a)]):
+                    if w in vertex:
+                        want = ds.vertex_to_coord(vertex[w], other)
+                        assert table[i, j] == ds.distance(a, b) == want, (kind, a, b)
+                        break
         mu = gen.random_measure(sp, rng)
         system = build_system(sp, mu)
         want = system.radii[:, None] * np.cos(
@@ -78,9 +86,9 @@ def test_one_graph_metric(kind):
 
 @pytest.mark.parametrize("kind", sorted(GRAPH_MAKERS))
 def test_vertex_table_is_symmetric(kind):
-    """The vertex-distance table equals its transpose, so the endpoint rule
-    from vertex w and the scalar distance from w's coordinate agree bit for
-    bit when `distance` reads the rule from the other argument's edge."""
+    """The vertex-distance table equals its transpose, and the scalar
+    distance between w's coordinate and any other is the endpoint rule from
+    vertex w, in either argument order."""
     rng = np.random.default_rng(83)
     for _ in range(30):
         sp = GRAPH_MAKERS[kind](rng)
@@ -90,9 +98,9 @@ def test_vertex_table_is_symmetric(kind):
         for _ in range(12):
             w = int(rng.integers(0, ds.vertex_count))
             c = ds.canonical(gen.random_direction(sp, rng))
-            home = ds.canonical(ds._vertex_home[w])
-            if home < c:
-                assert ds.vertex_to_coord(w, c) == ds.distance(home, c), (kind, w, c)
+            home = ds._vertex_home[w]
+            assert ds.vertex_to_coord(w, c) == ds.distance(home, c) \
+                == ds.distance(c, home), (kind, w, c)
 
 
 PIECE_MAKERS = {

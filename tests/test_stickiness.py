@@ -204,6 +204,24 @@ def test_threshold_matches_classification_bisection(spider3, thirds):
         sp, mu = gen.sticky_kale_measure(rng)
         cases.append((sp, mu, gen.random_point(sp, rng, rmax=1.5,
                                                allow_apex=False)))
+    for make in (lambda r: S.petersen_cone(), gen.random_tree_graph_cone,
+                 lambda r: gen.random_cycle_graph_cone(r, 3 * PI, 4 * PI),
+                 gen.random_finite_cone):
+        for _ in range(2):
+            sp, mu = gen.sticky_spread_measure(rng, make)
+            cases.append((sp, mu, gen.random_point(sp, rng, rmax=1.5,
+                                                   allow_apex=False)))
+    # y on an atom of mu (spider, kale, Petersen, tree, finite): the mixture
+    # merges them into one atom
+    for sp, mu, _ in cases[::3]:
+        cases.append((sp, mu, mu.atoms[0][0]))
+    # a mixture at its own threshold is a boundary measure whose derivative
+    # touches zero, often inside a piece; a y that pulls there unsticks it
+    for sp, mu, y in cases[2:4] + cases[6:8]:
+        nu = T.perturbed_measure(sp, mu, y, ST.perturbation_threshold(sp, mu, y))
+        arg = ST.classify(sp, nu).argmin_direction
+        near = arg + 0.3 if isinstance(arg, float) else (arg[0], 0.8 * arg[1])
+        cases.append((sp, nu, S.point(sp, near, 1.0)))
     for sp, mu, y in cases:
         t_star = ST.perturbation_threshold(sp, mu, y)
         lo, hi = 0.0, 1.0
@@ -215,6 +233,15 @@ def test_threshold_matches_classification_bisection(spider3, thirds):
             else:
                 hi = mid
         assert t_star == pytest.approx(lo, abs=1e-10)
+
+
+def test_threshold_builds_one_system(monkeypatch):
+    calls = _counted_builds(monkeypatch)
+    k = S.kale(3 * PI)
+    kthirds = S.measure(k, [((i * PI, 1.0), 1 / 3) for i in range(3)])
+    t = ST.perturbation_threshold(k, kthirds, S.point(k, 1.0, 1.5))
+    assert len(calls) == 1
+    assert 0.0 < t < 1.0
 
 
 def test_threshold_edge_cases(spider3, thirds):

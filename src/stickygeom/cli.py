@@ -29,7 +29,7 @@ from .spaces import (
     OpenBook,
     Space,
     is_prismatic,
-    measure_from_json,
+    measure,
     open_book_prismatic,
     point_from_json,
     point_to_json,
@@ -71,7 +71,7 @@ def _shallow_measure_errors(data, ptr: str) -> list[str]:
             errors.append(f"{ptr}/atoms/{i}: must be an object")
             continue
         w = atom.get("weight")
-        if not isinstance(w, (int, float)) or not w > 0.0:
+        if not _is_number(w) or not w > 0.0:
             errors.append(f"{ptr}/atoms/{i}/weight: must be > 0")
         else:
             total += float(w)
@@ -80,11 +80,24 @@ def _shallow_measure_errors(data, ptr: str) -> list[str]:
             errors.append(f"{ptr}/atoms/{i}/point: must be an object")
             continue
         r = pt.get("r")
-        if not isinstance(r, (int, float)) or not math.isfinite(r) or r < -1e-12:
+        if not _is_number(r) or r < -1e-12:
             errors.append(f"{ptr}/atoms/{i}/point/r: radius must be finite and >= 0")
+        for key in ("dir", "eu"):
+            errors.extend(_boolean_errors(pt.get(key), f"{ptr}/atoms/{i}/point/{key}"))
     if not errors and abs(total - 1.0) > 1e-12:
         errors.append(f"{ptr}/atoms: weights must sum to 1 (got {total!r})")
     return errors
+
+
+def _boolean_errors(value, ptr: str) -> list[str]:
+    """An error at every JSON true or false inside value, where a number is
+    read: Python would take it for 1 or 0."""
+    if isinstance(value, bool):
+        return [f"{ptr}: must be a number, not {json.dumps(value)}"]
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [e for key, item in items for e in _boolean_errors(item, f"{ptr}/{key}")]
+    return []
 
 
 def _coord_from_json(value):
@@ -113,8 +126,9 @@ def validate(config_text: str, command: str | None = None,
     if "space" not in data:
         errors.append("/space: required")
     else:
+        errors.extend(booleans := _boolean_errors(data["space"], "/space"))
         try:
-            space = space_from_json(data["space"])
+            space = None if booleans else space_from_json(data["space"])
         except (ValueError, KeyError, TypeError) as exc:
             errors.append(f"/space: {exc}")
 
@@ -129,9 +143,17 @@ def validate(config_text: str, command: str | None = None,
             return None
         if space is None:
             return None
+        points = []
+        for i, atom in enumerate(raw["atoms"]):
+            try:
+                points.append(point_from_json(space, atom["point"]))
+            except (ValueError, TypeError) as exc:
+                errors.append(f"/{key}/atoms/{i}/point: {exc}")
+        if len(points) < len(raw["atoms"]):
+            return None
         try:
-            return measure_from_json(space, raw)
-        except (ValueError, KeyError, TypeError) as exc:
+            return measure(space, zip(points, (a["weight"] for a in raw["atoms"])))
+        except ValueError as exc:
             errors.append(f"/{key}: {exc}")
             return None
 
@@ -200,7 +222,9 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
         try:  # point() canonicalizes the direction of a point off the apex
             if not isinstance(y, dict):
                 raise ValueError("must be an object with dir and r")
-            point_from_json(space, y)
+            errors.extend(booleans := _boolean_errors(y, "/parameters/y"))
+            if not booleans:
+                point_from_json(space, y)
         except (TypeError, ValueError) as exc:
             errors.append(f"/parameters/y: {exc}")
     grid = params.get("grid")
@@ -209,7 +233,9 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
             errors.append("/parameters/grid: non-empty list of directions required")
         for k, coord in enumerate(grid if isinstance(grid, list) else ()):
             try:
-                space.directions.canonical(_coord_from_json(coord))
+                errors.extend(booleans := _boolean_errors(coord, f"/parameters/grid/{k}"))
+                if not booleans:
+                    space.directions.canonical(_coord_from_json(coord))
             except ValueError as exc:
                 errors.append(f"/parameters/grid/{k}: {exc}")
     if cmd in ("sample-sim", "modulation"):
@@ -526,10 +552,7 @@ def main(argv=None) -> int:
 
     try:
         report, rows, summary = run_config(cfg)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (NumericalError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

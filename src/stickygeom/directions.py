@@ -78,15 +78,7 @@ class DirectionSystem:
         canonicalized first, so one off the direction space raises
         ValueError."""
         ds = self.space.directions
-        canon = [ds.canonical(c) for c in coords]
-        if self.kind == "finite":
-            dist = np.asarray(ds.angles).T[np.ix_(self.atom_dirs, canon)]
-        elif self.kind == "circle":
-            raw = np.fmod(np.abs(np.array(canon) - np.array(self.atom_dirs)[:, None]),
-                          ds.alpha)
-            dist = np.minimum(raw, ds.alpha - raw)
-        else:
-            dist = ds.distances(self.atom_dirs, canon)
+        dist = ds.distances(self.atom_dirs, [ds.canonical(c) for c in coords])
         return self.radii[:, None] * np.cos(np.minimum(dist, PI))
 
     def derivatives(self, weights, coords=None) -> list[float]:

@@ -15,7 +15,7 @@ from .spaces import (
     OpenBook,
     Point,
     Space,
-    cone_distance,
+    cone_distances,
     cone_point,
     direction_distance,
     point,
@@ -27,10 +27,11 @@ def frechet_value(sp: Space, mu: Measure, x: Point, anchor: Point | None = None)
     """Half the mean squared distance to x; with an anchor, the difference of
     the two such values (finite even for first-moment measures)."""
     if anchor is None:
-        return 0.5 * math.fsum(w * cone_distance(sp, x, z) ** 2 for z, w in mu.atoms)
-    return 0.5 * math.fsum(
-        w * (cone_distance(sp, x, z) ** 2 - cone_distance(sp, anchor, z) ** 2)
-        for z, w in mu.atoms)
+        dist = cone_distances(sp, [x], mu.points())[0].tolist()
+        return 0.5 * math.fsum(w * d ** 2 for d, w in zip(dist, mu.weights()))
+    dist, base = cone_distances(sp, [x, anchor], mu.points()).tolist()
+    return 0.5 * math.fsum(w * (d ** 2 - b ** 2)
+                           for d, b, w in zip(dist, base, mu.weights()))
 
 
 def pull(sp: Cone, sigma, z: Point) -> float:
@@ -137,7 +138,8 @@ def frechet_mean(sp: Space, mu: Measure) -> Point:
 
 def lipschitz_L(sp: Space, mu: Measure, x: Point) -> float:
     """Mean distance to x; Lipschitz constant of sigma -> derivative at x."""
-    return math.fsum(w * cone_distance(sp, x, z) for z, w in mu.atoms)
+    dist = cone_distances(sp, [x], mu.points())[0].tolist()
+    return math.fsum(w * d for d, w in zip(dist, mu.weights()))
 
 
 # ---------------------------------------------------------------------------

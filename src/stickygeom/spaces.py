@@ -40,6 +40,11 @@ class FiniteDirections:
     def distance(self, a: int, b: int) -> float:
         return self.angles[a][b]
 
+    def distances(self, a, b) -> np.ndarray:
+        """`distance` from each index of a to each of b, as a (len(a),
+        len(b)) array."""
+        return np.array(self.angles)[np.ix_(a, b)]
+
     def canonical(self, coord) -> int:
         try:
             c = int(coord)
@@ -65,6 +70,12 @@ class CircleDirections:
     def distance(self, a: float, b: float) -> float:
         d = math.fmod(abs(a - b), self.alpha)
         return min(d, self.alpha - d)
+
+    def distances(self, a, b) -> np.ndarray:
+        """`distance` from each coordinate of a to each of b, as a (len(a),
+        len(b)) array."""
+        d = np.fmod(np.abs(np.subtract.outer(a, b)), self.alpha)
+        return np.minimum(d, self.alpha - d)
 
     def canonical(self, coord) -> float:
         try:
@@ -181,25 +192,28 @@ class GraphDirections:
         return near[self._endpoint_arrays[1]], near[self._endpoint_arrays[2]]
 
     def distances(self, a, b) -> np.ndarray:
-        """Distances between coordinate lists as a (len(a), len(b)) array: the
-        endpoint rule from the ends of b's edge, or along an edge a and b
-        share, or from a vertex argument's own row, as `distance` reads
-        them."""
+        """`distance` from each coordinate of a to each of b, as a (len(a),
+        len(b)) array, read cell by cell as `distance` reads it, so
+        distances(a, b) is exactly distances(b, a).T."""
         _, u, v, length = self._endpoint_arrays
-        near_a, ea, oa = self._from_vertices(a)
-        near_b, eb, ob = self._from_vertices(b)
-        dist = np.minimum(near_a[u[eb]].T + ob, near_a[v[eb]].T + (length[eb] - ob))
-        dist = np.minimum(dist, np.where(ea[:, None] == eb, np.abs(ob - oa[:, None]),
-                                         np.inf))
-        # a vertex reads the rule from its own row of the table, as
-        # vertex_to_coord does; of two vertices, the first in canonical order
-        wa, wb = self._vertex_at(ea, oa), self._vertex_at(eb, ob)
-        cols, rows = np.flatnonzero(wb >= 0), np.flatnonzero(wa >= 0)
-        dist[:, cols] = near_a[wb[cols]].T
-        ea, oa = ea[rows, None], oa[rows, None]
-        b_first = (wb >= 0) & ((eb < ea) | ((eb == ea) & (ob < oa)))
-        dist[rows] = np.where(b_first, dist[rows], near_b[wa[rows]])
-        return dist
+        n = len(a)
+        near, e, o = self._from_vertices([*a, *b])
+        w = self._vertex_at(e, o)
+        near_a, ea, oa, wa = near[:, :n], e[:n], o[:n, None], w[:n]
+        near_b, eb, ob, wb = near[:, n:], e[n:], o[n:], w[n:]
+        same = ea[:, None] == eb
+        a_first = (ea[:, None] < eb) | (same & (oa < ob))
+        # the endpoint rule from the ends of the later coordinate's edge, or
+        # along an edge both share
+        dist = np.where(a_first,
+                        np.minimum(near_a[u[eb]].T + ob, near_a[v[eb]].T + (length[eb] - ob)),
+                        np.minimum(near_b[u[ea]] + oa, near_b[v[ea]] + (length[ea, None] - oa)))
+        dist = np.where(same, np.minimum(dist, np.abs(oa - ob)), dist)
+        # a vertex reads the rule from its own row of the table; of two
+        # vertices, the first in canonical order does
+        a_row = (wa[:, None] >= 0) & (a_first | (wb < 0))
+        dist = np.where(a_row, near_b[np.maximum(wa, 0)], dist)
+        return np.where((wb >= 0) & ~a_row, near_a[np.maximum(wb, 0)].T, dist)
 
     def _vertex_at(self, eids: np.ndarray, offs: np.ndarray) -> np.ndarray:
         # the vertex at each coordinate, -1 inside an edge
@@ -221,11 +235,8 @@ class GraphDirections:
             return self.vertex_to_coord(ua if oa == 0.0 else va, cb)
         if ob == 0.0 or ob == length:
             return self.vertex_to_coord(u if ob == 0.0 else v, ca)
-        # vertex_to_coord(u, ca) + ob and vertex_to_coord(v, ca) + (length - ob),
-        # inlined: this is the hot scalar path of cone distances
-        du, dv = self._vertex_dist[u], self._vertex_dist[v]
-        best = min(min(du[ua] + oa, du[va] + (la - oa)) + ob,
-                   min(dv[ua] + oa, dv[va] + (la - oa)) + (length - ob))
+        best = min(self.vertex_to_coord(u, ca) + ob,
+                   self.vertex_to_coord(v, ca) + (length - ob))
         if ea == eb:
             best = min(best, abs(oa - ob))
         return best
@@ -235,7 +246,7 @@ DirectionSpace = FiniteDirections | CircleDirections | GraphDirections
 
 
 def finite_directions(matrix) -> FiniteDirections:
-    rows = [tuple(float(x) for x in row) for row in matrix]
+    rows = [[float(x) for x in row] for row in matrix]
     k = len(rows)
     if k == 0 or any(len(r) != k for r in rows):
         raise ValueError("distance matrix must be square and non-empty")
@@ -247,13 +258,17 @@ def finite_directions(matrix) -> FiniteDirections:
                 raise ValueError(f"negative distance at ({i},{j})")
             if abs(rows[i][j] - rows[j][i]) > COORD_TOL:
                 raise ValueError(f"distance matrix not symmetric at ({i},{j})")
+    # one copy of each pair keeps the metric exactly symmetric
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[j][i] = rows[i][j]
     for i in range(k):
         for j in range(k):
             for l in range(k):
                 if rows[i][j] > rows[i][l] + rows[l][j] + COORD_TOL:
                     raise ValueError(
                         f"triangle inequality fails for direction triple ({i},{j},{l})")
-    return FiniteDirections(tuple(rows))
+    return FiniteDirections(tuple(tuple(row) for row in rows))
 
 
 def spider_directions(k: int) -> FiniteDirections:
@@ -485,6 +500,29 @@ def cone_distance(sp: Space, x: Point, y: Point) -> float:
         esq = sum((a - b) ** 2 for a, b in zip(x.euclidean, y.euclidean))
         return math.sqrt(base * base + esq)
     return _cone_dist(sp.directions, x, y)
+
+
+def cone_distances(sp: Space, xs, ys) -> np.ndarray:
+    """`cone_distance` from each point of xs to each of ys, as a (len(xs),
+    len(ys)) array with the same bits in every cell: `_cone_dist`'s branches
+    cell by cell, and for open books the product with the heights."""
+    book = isinstance(sp, OpenBook)
+    ds = sp.spider.directions if book else sp.directions
+    s = np.array([p.radius for p in xs], dtype=float)[:, None]
+    t = np.array([p.radius for p in ys], dtype=float)
+    ang = ds.distances([p.direction for p in xs], [p.direction for p in ys])
+    law = np.sqrt(np.maximum(s * s + t * t - 2.0 * (s * t) * np.cos(ang), 0.0))
+    base = np.where((s == 0.0) | (t == 0.0) | (ang >= PI), s + t,
+                    np.where(ang <= 0.0, np.abs(s - t), law))
+    if not book:
+        return base
+    if any(p.euclidean is None for p in (*xs, *ys)):
+        raise ValueError("open-book points need euclidean components")
+    # the height sums as the scalar builds them: in order, squared by
+    # Python's float power (numpy's x * x can differ in the last bit)
+    esq = [[sum((a - b) ** 2 for a, b in zip(x.euclidean, y.euclidean)) for y in ys]
+           for x in xs]
+    return np.sqrt(base * base + np.array(esq, dtype=float).reshape(base.shape))
 
 
 def _walk_direction(ds: DirectionSpace, a, b, dist: float):

@@ -110,42 +110,35 @@ def pull_condition(sp: Cone, mu: Measure) -> bool:
     if not carried:
         return False  # the pull vanishes everywhere for a point mass at the apex
     ds = sp.directions
-    for sigma in _right_angle_set(ds, carried[0].direction):
-        if all(abs(min(ds.distance(sigma, z.direction), PI) - PI / 2.0) <= 1e-12
-               for z in carried):
-            return False
-    return True
+    dist = ds.distances(_right_angle_candidates(ds, carried[0].direction),
+                        [z.direction for z in carried])
+    right = np.abs(np.minimum(dist, PI) - PI / 2.0) <= 1e-12
+    return not right.all(axis=1).any()
 
 
-def _right_angle_set(ds, direction):
-    """Directions at distance exactly pi/2 from the given one (graphs: the
-    distance functions are piecewise linear with slopes +-1); a finite set
-    gives all its directions."""
+def _right_angle_candidates(ds, direction) -> list:
+    """Directions that include every one at distance exactly pi/2 from the
+    given one (graphs: the distance functions are piecewise linear with
+    slopes +-1); a finite set gives all its directions."""
     if isinstance(ds, FiniteDirections):
-        return range(ds.size)
+        return list(range(ds.size))
+    c = ds.canonical(direction)
     if isinstance(ds, CircleDirections):
         if ds.alpha < PI:
             return []
-        t = ds.canonical(direction)
-        cands = {ds.canonical(t + PI / 2.0), ds.canonical(t - PI / 2.0)}
-        return [c for c in cands if abs(ds.distance(c, t) - PI / 2.0) <= 1e-12]
+        return [ds.canonical(c + PI / 2.0), ds.canonical(c - PI / 2.0)]
     assert isinstance(ds, GraphDirections)
-    out = []
-    c = ds.canonical(direction)
     to_first, to_second = ds.endpoint_distances([c])
+    cands = set()
     for eid, ((_u, _v, length), ra, rb) in enumerate(
             zip(ds.edges, to_first[:, 0].tolist(), to_second[:, 0].tolist())):
-        cands = {PI / 2.0 - ra, rb + length - PI / 2.0}
+        offs = {PI / 2.0 - ra, rb + length - PI / 2.0}
         if eid == c[0]:
-            cands.add(c[1] - PI / 2.0)
-            cands.add(c[1] + PI / 2.0)
-        for off in cands:
-            if -1e-12 <= off <= length + 1e-12:
-                coord = ds.canonical((eid, min(max(off, 0.0), length)))
-                if abs(ds.distance(coord, c) - PI / 2.0) <= 1e-12 \
-                        and coord not in out:
-                    out.append(coord)
-    return out
+            offs.add(c[1] - PI / 2.0)
+            offs.add(c[1] + PI / 2.0)
+        cands |= {ds.canonical((eid, min(max(off, 0.0), length))) for off in offs
+                  if -1e-12 <= off <= length + 1e-12}
+    return sorted(cands)
 
 
 def perturbation_threshold(sp: Space, mu: Measure, y: Point,

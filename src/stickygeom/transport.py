@@ -15,8 +15,7 @@ from .spaces import (
     Measure,
     Point,
     Space,
-    cone_distance,
-    direction_distance,
+    cone_distances,
     measure,
     point,
 )
@@ -137,12 +136,8 @@ def perturbed_divergence(sp: Space, p: Measure, y: Point, t: float,
 # ---------------------------------------------------------------------------
 
 def _support_is_star(sp: Cone, groups: list) -> bool:
-    ds = sp.directions
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            if direction_distance(ds, groups[i], groups[j]) < PI - 1e-12:
-                return False
-    return True
+    dist = sp.directions.distances(groups, groups)
+    return bool(np.all((dist >= PI - 1e-12) | np.eye(len(groups), dtype=bool)))
 
 
 def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
@@ -185,7 +180,9 @@ def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
         raise ValueError("Wasserstein order must be >= 1")
     xs, aw = p.points(), p.weights()
     ys, bw = q.points(), q.weights()
-    cost = [[cone_distance(sp, x, y) ** order for y in ys] for x in xs]
+    # powers by Python's float power: every cost bit reaches the exact solver,
+    # and numpy's power can round differently
+    cost = [[c ** order for c in row] for row in cone_distances(sp, xs, ys).tolist()]
     if len(xs) <= EXACT_LP_LIMIT and len(ys) <= EXACT_LP_LIMIT:
         value = float(_exact_transport(aw, bw, cost))
     else:
@@ -428,4 +425,4 @@ def _highs_transport(a_weights, b_weights, cost_rows) -> float:
 def support_diameter(sp: Space, p: Measure, q: Measure) -> float:
     """Diameter of the union of the two supports."""
     pts = p.points() + q.points()
-    return max((cone_distance(sp, x, y) for x in pts for y in pts), default=0.0)
+    return float(cone_distances(sp, pts, pts).max(initial=0.0))

@@ -272,6 +272,22 @@ BAD_DIRECTIONS = [
     ("spider3_thirds.json", "clt", "trials", True, "/parameters/trials"),
     ("spider3_thirds.json", "clt", "n", True, "/parameters/n"),
     ("spider3_thirds.json", "sample-sim", "n_grid", [True, 2], "/parameters/n_grid"),
+    ("kale_2pi.json", "classify", "measure/atoms/0/point/dir", False,
+     "/measure/atoms/0/point/dir"),
+    ("openbook3_2.json", "classify", "measure/atoms/2/point/eu/0", True,
+     "/measure/atoms/2/point/eu/0"),
+    ("petersen_cone.json", "classify", "measure2/atoms/1/point/dir/0", True,
+     "/measure2/atoms/1/point/dir/0"),
+    ("kale_2pi.json", "classify", "space/alpha", True, "/space/alpha"),
+    ("petersen_cone.json", "classify", "space/edges/3/1", True, "/space/edges/3/1"),
+    ("petersen_cone.json", "classify", "space/edges/0/2", True, "/space/edges/0/2"),
+    ("spider3_thirds.json", "perturb", "y", {"dir": True, "r": 2.0}, "/parameters/y/dir"),
+    ("spider3_thirds.json", "derivs", "grid", [0, True], "/parameters/grid/1"),
+    # a bad point is reported at its own atom
+    ("spider3_thirds.json", "classify", "measure/atoms/1/point/dir", 7,
+     "/measure/atoms/1/point"),
+    ("petersen_cone.json", "classify", "measure2/atoms/0/point/dir", [15, 0.5],
+     "/measure2/atoms/0/point"),
 ]
 
 
@@ -287,13 +303,46 @@ def test_bad_direction_is_a_validation_error(tmp_path, capsys, name, cmd, key,
         node = data
         for part in path[:-1]:
             node = node[int(part) if isinstance(node, list) else part]
-        node[path[-1]] = value
+        node[int(path[-1]) if isinstance(node, list) else path[-1]] = value
     if cmd == "divergence":
         del data["measure2"]  # so the y, t form runs
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"config{pointer}: " in err, err
+
+
+def test_booleans_are_not_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "space": {"kind": "spider", "K": 3},
+        "measure": {"atoms": [{"point": {"dir": True, "r": True}, "weight": True}]},
+    }))
+    assert main(["classify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    for pointer in ("/measure/atoms/0/weight", "/measure/atoms/0/point/r",
+                    "/measure/atoms/0/point/dir"):
+        assert f"config{pointer}: " in err, err
+    cfg.write_text(json.dumps({
+        "space": {"kind": "finite_cone", "distance_matrix": [[0, 1], [False, 0]]},
+        "measure": {"atoms": [{"point": {"dir": 0, "r": 1.0}, "weight": 1.0}]},
+    }))
+    assert main(["classify", "--config", str(cfg)]) == 2
+    assert "config/space/distance_matrix/1/0: " in capsys.readouterr().err
+
+
+def test_every_bad_atom_is_reported_at_once():
+    cfg, errors = validate(json.dumps({
+        "space": {"kind": "spider", "K": 3},
+        "measure": {"atoms": [
+            {"point": {"dir": 0, "r": 1.0}, "weight": 0.5},
+            {"point": {"dir": 7, "r": 1.0}, "weight": 0.25},
+            {"point": {"dir": "x", "r": 1.0}, "weight": 0.25},
+        ]},
+    }), command="classify")
+    assert cfg is None
+    assert errors == ["/measure/atoms/1/point: direction index 7 out of range 0..2",
+                      "/measure/atoms/2/point: direction index 'x' out of range 0..2"]
 
 
 def test_missing_config_file():

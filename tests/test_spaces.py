@@ -143,6 +143,58 @@ def test_metric_axioms(make_space):
         assert S.cone_distance(sp, x, x) == 0.0
 
 
+ARRAY_SPACES = {
+    "finite": gen.random_finite_cone,
+    "spider": lambda rng: S.spider(int(rng.integers(2, 6))),
+    "short_kale": lambda rng: S.kale(float(rng.uniform(0.5, 2.0 * PI))),
+    "long_kale": lambda rng: S.kale(float(rng.uniform(2.0 * PI, 4.0 * PI))),
+    "tree": gen.random_tree_graph_cone,
+    "cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+    "petersen": lambda rng: S.petersen_cone(),
+    "open_book": lambda rng: S.open_book(int(rng.integers(3, 5)), int(rng.integers(2, 4))),
+}
+
+
+def _array_points(sp, rng):
+    # random points, the apex, and on graphs a point at every vertex
+    pts = [gen.random_point(sp, rng) for _ in range(10)] + [S.cone_point(sp)]
+    if isinstance(sp, S.Cone) and isinstance(sp.directions, S.GraphDirections):
+        pts += [S.point(sp, home, float(rng.uniform(0.1, 2.0)))
+                for home in sp.directions._vertex_home]
+    return pts
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_SPACES))
+def test_cone_distances_match_scalar_bit_for_bit(kind):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        sp = ARRAY_SPACES[kind](rng)
+        xs, ys = _array_points(sp, rng), _array_points(sp, rng)
+        for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+            want = np.array([[S.cone_distance(sp, x, y) for y in b] for x in a])
+            assert S.cone_distances(sp, a, b).tobytes() == want.tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", sorted(set(ARRAY_SPACES) - {"open_book"}))
+def test_direction_distances_are_one_symmetric_metric(kind):
+    """`distances(a, b)` is exactly the transpose of `distances(b, a)` and,
+    cell by cell, the scalar `distance`."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        ds = ARRAY_SPACES[kind](rng).directions
+        a, b = ([p.direction for p in _array_points(S.Cone(ds), rng)] for _ in range(2))
+        table = ds.distances(a, b)
+        assert table.tobytes() == ds.distances(b, a).T.tobytes(), kind
+        want = np.array([[ds.distance(x, y) for y in b] for x in a])
+        assert table.tobytes() == want.tobytes(), kind
+
+
+def test_finite_matrix_within_tolerance_is_stored_symmetric():
+    ds = S.finite_directions([[0.0, 1.0], [1.0 + 5e-13, 0.0]])
+    assert ds.distance(0, 1) == ds.distance(1, 0) == 1.0
+    assert ds.distances([0, 1], [0, 1]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 # ---------------------------------------------------------------------------

@@ -225,6 +225,37 @@ def test_open_book_transport():
 # f-divergences
 # ---------------------------------------------------------------------------
 
+def test_array_callers_make_no_scalar_distance_calls(monkeypatch):
+    """Cost matrices, diameters, Frechet sums, the star test and the pull
+    condition read the array metric, never a scalar distance."""
+    from stickygeom import frechet as F
+    from stickygeom import stickiness as ST
+
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(S, "_cone_dist", counted(S._cone_dist))
+    for cls in (S.FiniteDirections, S.CircleDirections, S.GraphDirections):
+        monkeypatch.setattr(cls, "distance", counted(cls.distance))
+    rng = np.random.default_rng(23)
+    for sp in (S.spider(3), S.kale(2.5 * PI), S.petersen_cone(), S.open_book(3, 2)):
+        p, q = gen.random_measure(sp, rng), gen.random_measure(sp, rng)
+        x, anchor = gen.random_point(sp, rng), gen.random_point(sp, rng)
+        T.wq_lp(sp, p, q, 2.0)
+        T.support_diameter(sp, p, q)
+        F.frechet_value(sp, p, x)
+        F.frechet_value(sp, p, x, anchor)
+        F.lipschitz_L(sp, p, x)
+        if isinstance(sp, S.Cone):
+            T.w1_tree(sp, p, q)
+            ST.pull_condition(sp, p)
+    assert calls == []
+    S.cone_distance(sp, x, anchor)  # the counter does see scalar calls
+    assert calls
+
+
 def test_divergence_zero_iff_equal(spider3):
     rng = np.random.default_rng(29)
     for kind in T.BUILTIN_DIVERGENCES.values():

@@ -502,8 +502,21 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json_finite(value):
+    """The report with every non-finite float (a nan bound, an infinite
+    divergence) as None, so that it dumps as strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_finite(item) for item in value]
+    return value
+
+
 def _json_text(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    return json.dumps(_json_finite(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:

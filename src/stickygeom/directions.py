@@ -14,10 +14,14 @@ a measure are built once, as arrays: the circle and graph builders find the
 breakpoints, then give every atom's distance to every piece's midpoint and
 its phase there as (atoms x pieces) arrays, and `_coefficients` turns those
 into a `PieceTable` (one column per piece) by one rule.  One closed form
-for the critical angles serves every query: the scalar minimizer scores
-them exactly with the breakpoints, the batched one used by the Monte Carlo
-paths takes their closed-form values, and `touching_angles` finds where a
-piece minimum of the perturbation threshold's mixtures reaches zero.
+for the critical angles serves the exact queries: the scalar minimizer
+scores them exactly with the breakpoints, and `touching_angles` finds where
+a piece minimum of the perturbation threshold's mixtures reaches zero.  The
+batched minimizer used by the Monte Carlo paths never forms an angle.  An
+atom's distance has slope +-1 on a piece and stays in [0, pi] there, so a
+piece that is not flat is at most pi long, and on it the minimum lies
+strictly inside exactly when the derivative a sin(theta) - b cos(theta) is
+negative at lo and positive at hi; only those cells take c - hypot(a, b).
 """
 from __future__ import annotations
 
@@ -228,20 +232,10 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
 
 def _critical_angles(table: PieceTable, a, b):
     """Critical angles lo + mod(atan2(b, a) - lo, 2 pi) of c - a cos(theta)
-    - b sin(theta) on every piece, whether each lies in its piece (a flat
-    piece, a = b = 0, has none), and the amplitudes hypot(a, b)."""
-    radius = np.hypot(a, b)
+    - b sin(theta) on every piece, and whether each lies in its piece (a
+    flat piece, a = b = 0, has none)."""
     theta = table.lo + np.mod(np.arctan2(b, a) - table.lo, TWO_PI)
-    return theta, (theta <= table.hi + 1e-15) & (radius > 0.0), radius
-
-
-def _piece_minimum(table: PieceTable, coeffs: np.ndarray):
-    """Closed-form minimum of c - a cos(theta) - b sin(theta) on every piece
-    of the table, for each row of atom coefficients (one matrix product per
-    coefficient; a 1-D row gives 1-D results): the critical angles, whether
-    each lies in its piece, and the values c - hypot(a, b) there."""
-    theta, inside, radius = _critical_angles(table, coeffs @ table.a, coeffs @ table.b)
-    return theta, inside, coeffs @ table.c - radius
+    return theta, (theta <= table.hi + 1e-15) & (np.hypot(a, b) > 0.0)
 
 
 def _inside_coords(system: DirectionSystem, theta, inside) -> list:
@@ -261,7 +255,8 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     inside the piece.  Every candidate is scored with the exact derivative,
     and ties within TIE_TOL go to the smallest canonical coordinate."""
     w = np.asarray(weights, dtype=float)
-    theta, inside, _ = _piece_minimum(system.pieces, w)
+    table = system.pieces
+    theta, inside = _critical_angles(table, w @ table.a, w @ table.b)
     critical = _inside_coords(system, theta, inside)
     coords = system.candidates + critical
     values = system.derivatives(w) + system.derivatives(w, critical)
@@ -294,7 +289,7 @@ def touching_angles(system: DirectionSystem, row0, row1) -> list:
         q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
         t = np.array([q / qa, qc / q])
     t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)  # nan: no angle
-    theta, inside, _ = _critical_angles(table, a0 + t * da, b0 + t * db)
+    theta, inside = _critical_angles(table, a0 + t * da, b0 + t * db)
     return _inside_coords(system, theta, inside)
 
 
@@ -304,15 +299,25 @@ def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndar
     Each row plays the role of (weight * radius-normalization) per atom, e.g.
     resample counts / n.  Rows go through the candidate pulls and the
     stacked piece table in blocks of ROW_BLOCK, so memory stays
-    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.
+    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.  A piece
+    adds its value c - hypot(a, b) only where the sign test at its ends puts
+    the critical angle strictly inside; a critical angle on a piece end is
+    a breakpoint, which the candidates already score.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    table = system.pieces
+    cos_lo, sin_lo = np.cos(table.lo), np.sin(table.lo)
+    cos_hi, sin_hi = np.cos(table.hi), np.sin(table.hi)
     best = np.empty(len(coeffs))
     for start in range(0, len(coeffs), ROW_BLOCK):
         x = coeffs[start:start + ROW_BLOCK]
-        _, inside, value = _piece_minimum(system.pieces, x)
+        a, b, c = x @ table.a, x @ table.b, x @ table.c
+        # the derivative a sin(theta) - b cos(theta) is < 0 at lo and > 0 at hi
+        rows, cols = np.nonzero((a * sin_lo < b * cos_lo) & (a * sin_hi > b * cos_hi))
+        piece_min = np.full(len(x), np.inf)
+        np.minimum.at(piece_min, rows,
+                      c[rows, cols] - np.hypot(a[rows, cols], b[rows, cols]))
         # min over candidates of -(x . pull) == -(max of x . pull)
-        best[start:start + ROW_BLOCK] = np.minimum(
-            -(x @ system.pulls).max(axis=1),
-            np.where(inside, value, np.inf).min(axis=1, initial=np.inf))
+        best[start:start + ROW_BLOCK] = np.minimum(-(x @ system.pulls).max(axis=1),
+                                                   piece_min)
     return best

@@ -131,6 +131,30 @@ def test_piece_coefficients_are_the_pulls(kind):
         assert (gap <= 1e-14 * (1.0 + system.radii[:, None])).all(), (kind, gap.max())
 
 
+PREMISE_MAKERS = {
+    "cat0": gen.random_cat0_space,
+    "tree": gen.random_tree_graph_cone,
+    "cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+    "petersen": SPACE_MAKERS["petersen"],
+    "kale": lambda rng: S.kale(float(rng.uniform(0.3, 5.0 * PI))),
+    "finite": gen.random_finite_cone,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PREMISE_MAKERS))
+def test_smooth_pieces_are_at_most_pi_long(kind):
+    """An atom's distance has slope +-1 on a piece and stays in [0, pi]
+    there, so every piece with a nonzero sinusoid is at most pi long: the
+    premise of the sign test in batch_min_derivative."""
+    rng = np.random.default_rng(89)
+    for _ in range(340):
+        sp = PREMISE_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng, max_atoms=16 if kind == "petersen" else 8)
+        t = build_system(sp, mu).pieces
+        smooth = (t.a != 0.0).any(axis=0) | (t.b != 0.0).any(axis=0)
+        assert (t.hi - t.lo)[smooth].max(initial=0.0) <= PI + 8e-15, kind
+
+
 def test_pull_matrix_rejects_off_edge_coordinates():
     sp = S.petersen_cone()
     mu = S.measure(sp, [(((0, 0.5), 1.0), 0.5), (((7, 1.0), 0.7), 0.5)])

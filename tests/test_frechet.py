@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from stickygeom import directions as D
 from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom._mc import resample_counts
@@ -95,6 +96,84 @@ def test_batch_minimizer_row_blocks_match_scalar():
     for row, value in zip(rows, batch):
         _, scalar = min_derivative(system, row)
         assert abs(scalar - value) <= 1e-13 * (1.0 + abs(scalar))
+
+
+def _assert_batch_matches_scalar(system, rows):
+    batch = batch_min_derivative(system, rows)
+    for row, value in zip(rows, batch):
+        _, scalar = min_derivative(system, row)
+        assert abs(scalar - value) <= 1e-13 * (1.0 + abs(scalar)), (scalar, value)
+
+
+BATCH_MAKERS = {
+    "tree": gen.random_tree_graph_cone,
+    "cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+    "long_kale": lambda rng: S.kale(float(rng.uniform(3.5 * PI, 5.0 * PI))),
+    "petersen": lambda rng: S.petersen_cone(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_MAKERS))
+def test_scalar_vs_batch_minimizer_resampled(kind):
+    """The weight row and resampled rows of graph cones, long kales and
+    Petersen measures give the scalar minimum."""
+    rng = np.random.default_rng(29)
+    for seed in range(25):
+        sp = BATCH_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng, max_atoms=12)
+        w = np.asarray(mu.weights())
+        rows = np.vstack([w[None, :], resample_counts(w, 15, 12, seed=seed) / 15.0])
+        _assert_batch_matches_scalar(build_system(sp, mu), rows)
+
+
+def test_batch_minimizer_where_a_piece_starts_at_the_maximum():
+    """One direction's atoms make a sinusoid whose maximum is the antipode:
+    on the piece that starts there the critical angle is lo + pi = hi."""
+    for alpha, theta0 in [(2.0 * PI, 1.0), (2.0 * PI, 0.3), (3.0 * PI, 0.5)]:
+        sp = S.kale(alpha)
+        mu = S.measure(sp, [((theta0, 1.3), 0.7), ((theta0, 0.4), 0.3)])
+        system = build_system(sp, mu)
+        t = system.pieces
+        w = np.asarray(mu.weights())
+        theta, _ = D._critical_angles(t, w @ t.a, w @ t.b)
+        assert np.isclose(np.mod(theta - t.lo, 2.0 * PI), PI, atol=1e-12).any()
+        rows = np.vstack([w, [1.0, 0.0], [0.0, 1.0]])
+        _assert_batch_matches_scalar(system, rows)
+
+
+def test_batch_minimizer_with_a_critical_angle_on_a_breakpoint():
+    """Two equal atoms at +-phi and one at pi on the plane: the sinusoid's
+    critical angle is 0, the antipode of the atom at pi, a breakpoint that
+    is no atom's direction."""
+    sp = S.kale(2.0 * PI)
+    for phi, r3 in [(0.7, 0.5), (1.2, 0.2), (PI / 4, 1.0)]:
+        mu = S.measure(sp, [((phi, 1.0), 0.4), ((2.0 * PI - phi, 1.0), 0.4),
+                            ((PI, r3), 0.2)])
+        system = build_system(sp, mu)
+        assert 0.0 in system.candidates
+        t = system.pieces
+        w = np.asarray(mu.weights())
+        theta, _ = D._critical_angles(t, w @ t.a, w @ t.b)
+        ends = np.minimum(np.abs(np.mod(theta + PI, 2.0 * PI) - PI),
+                          np.abs(np.mod(theta - t.hi + PI, 2.0 * PI) - PI))
+        assert (ends <= 1e-12).sum() >= 2
+        assert min_derivative(system, w)[0] == 0.0
+        _assert_batch_matches_scalar(system, w[None, :])
+
+
+def test_batch_minimizer_forms_no_critical_angle(monkeypatch):
+    rng = np.random.default_rng(37)
+    sp = S.petersen_cone()
+    mu = gen.random_measure(sp, rng, max_atoms=10)
+    system = build_system(sp, mu)
+    rows = resample_counts(mu.weights(), 20, 30, seed=3) / 20.0
+    want = batch_min_derivative(system, rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch_min_derivative formed a critical angle")
+
+    monkeypatch.setattr(D, "_critical_angles", refuse)
+    assert batch_min_derivative(system, rows).tobytes() == want.tobytes()
 
 
 def test_cone_mean_examples(spider3, thirds):

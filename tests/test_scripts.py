@@ -1,5 +1,6 @@
 """Smoke tests of the scripts: each table script runs and prints its CSV;
-the fixture reports rerun byte for byte."""
+the fixture reports rerun byte for byte and parse as strict JSON."""
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,24 @@ def test_fixture_reports_rerun_byte_identical(tmp_path):
     assert len(runs[0]) - len(refused) == 94
     assert len(refused) == 6
     assert all(b.startswith(b"exit 2\n") for b in refused.values())
+
+
+def test_fixture_json_reports_are_strict_json(tmp_path):
+    """Every JSON report parses with no NaN or Infinity constant; a
+    non-finite float is null there and stays nan or inf in CSV."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "fixture_reports.py"),
+                           str(tmp_path)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    reports = {f.name: json.loads(f.read_text(), parse_constant=refuse)
+               for f in tmp_path.glob("*.json")}
+    assert len(reports) == 47
+    assert [row["bound"] for row in reports["kale_2pi.sample-sim.json"]["rows"]] \
+        == [None, None]
+    assert reports["kale_3pi_thirds.divergence.json"]["value"] is None
+    assert "inf" in (tmp_path / "kale_3pi_thirds.divergence.csv").read_text()

@@ -3,6 +3,7 @@ f-divergences between finitely supported measures."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,16 +174,31 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
 
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
-    """q-th Wasserstein distance by solving the transportation LP: exactly up
-    to 64x64 atoms (a HiGHS basis certified in rational arithmetic, see
-    `_exact_transport`), by HiGHS with a duality-gap check beyond."""
+    """q-th Wasserstein distance by solving the transportation LP with costs
+    d^q. Up to 64x64 atoms the value is exact: a float transportation simplex
+    in numpy finds a start basis, which is certified (and pivoted on if need
+    be) in rational arithmetic, see `_exact_transport`. Beyond, HiGHS solves
+    it in floats without presolve, checked by its duality gap. Raises
+    `NumericalError` when a cost d^q overflows, or when the largest one falls
+    below the smallest normal float: at such an order the float costs no
+    longer tell the distances apart."""
     if order < 1.0:
         raise ValueError("Wasserstein order must be >= 1")
     xs, aw = p.points(), p.weights()
     ys, bw = q.points(), q.weights()
+    dist = cone_distances(sp, xs, ys)
     # powers by Python's float power: every cost bit reaches the exact solver,
     # and numpy's power can round differently
-    cost = [[c ** order for c in row] for row in cone_distances(sp, xs, ys).tolist()]
+    try:
+        cost = [[c ** order for c in row] for row in dist.tolist()]
+    except OverflowError:
+        raise NumericalError(
+            f"transport cost d^q overflows at order q = {order:g}") from None
+    top = float(dist.max(initial=0.0))
+    if top > 0.0 and top ** order < sys.float_info.min:
+        raise NumericalError(
+            f"transport cost d^q underflows at order q = {order:g}: the largest "
+            f"distance {top:g} to that power is below the smallest normal float")
     if len(xs) <= EXACT_LP_LIMIT and len(ys) <= EXACT_LP_LIMIT:
         value = float(_exact_transport(aw, bw, cost))
     else:
@@ -194,28 +210,108 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
     """Optimal total cost of the transportation LP in exact rational
     arithmetic.
 
-    HiGHS solves the LP in floats. The support of its vertex, largest flow
-    first, is extended to a spanning tree of the row/column graph, which is a
-    transportation basis; its flows and reduced costs are then computed in
-    `Fraction`s. If both are nonnegative the basis is optimal as given.
-    If only some reduced cost is negative, the Bland's-rule simplex pivots on
-    from that basis. If the tree's flows are infeasible, or HiGHS fails, the
+    `_float_start` finds a near-optimal spanning-tree basis with the
+    transportation simplex in floats. Its flows and reduced costs are then
+    computed in `Fraction`s. If both are nonnegative the basis is optimal as
+    given. If only some reduced cost is negative, the Bland's-rule simplex
+    pivots on from that basis. If the tree's flows are infeasible, the
     simplex starts from the northwest corner. The optimal value of the
     rational LP is unique, so the start changes the time taken, not the
     result. Certifying a float basis exactly follows Applegate, Cook, Dash and
     Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
     Lett. 2007)."""
     a, b, cost = _rational_problem(a_weights, b_weights, cost_rows)
-    start = None
-    try:
-        vertex = _highs_transport(a_weights, b_weights, cost_rows)
-    except NumericalError:
-        pass
-    else:
-        start = _tree_flows(a, b, _spanning_tree(vertex.flows))
+    start = _tree_flows(a, b, _float_start(a_weights, b_weights, cost_rows))
     if start is None:
         start = _northwest_corner(a, b)
     return _transport_simplex(cost, start)
+
+
+# float pivots per row and column before `_float_start` hands its basis on
+START_PIVOTS = 20
+
+
+def _float_start(a_weights, b_weights, cost_rows) -> list[tuple[int, int]]:
+    """Spanning tree of a transportation basis by the MODI method in floats:
+    a matrix-minimum allocation, then Dantzig-rule pivots (the most negative
+    reduced cost enters) until no reduced cost is below a rounding tolerance
+    or START_PIVOTS * (m + n) pivots are spent. Floats only choose the tree;
+    `_exact_transport` certifies it."""
+    cost = np.asarray(cost_rows, dtype=float)
+    m, n = cost.shape
+    c = cost.tolist()
+    a = [float(w) for w in a_weights]
+    scale = math.fsum(a) / math.fsum(float(w) for w in b_weights)
+    b = [float(w) * scale for w in b_weights]
+    # matrix minimum: each allocation empties its row or its column, so the
+    # positive cells form a forest, which `_spanning_tree` keeps whole
+    alloc = np.zeros((m, n))
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, n)
+        t = min(a[i], b[j])
+        if t > 0.0:
+            alloc[i, j] = t
+            a[i] -= t
+            b[j] -= t
+    flow = {cell: float(alloc[cell]) for cell in _spanning_tree(alloc)}
+    # nodes: rows 0..m-1, columns m..m+n-1; a tree edge is a basic cell
+    nbrs: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in flow:
+        nbrs[i].append(m + j)
+        nbrs[m + j].append(i)
+    tol = 1e-12 * (1.0 + float(cost.max(initial=0.0)))
+    for _ in range(START_PIVOTS * (m + n)):
+        # potentials u_i + v_j = c_ij on the tree, by a BFS from row 0
+        pot = [0.0] * (m + n)
+        parent = [-1] * (m + n)
+        depth = [0] * (m + n)
+        parent[0] = 0
+        order = [0]
+        for k in order:
+            for nb in nbrs[k]:
+                if parent[nb] < 0:
+                    parent[nb], depth[nb] = k, depth[k] + 1
+                    i, j = _cell(k, nb, m)
+                    pot[nb] = c[i][j] - pot[k]
+                    order.append(nb)
+        reduced = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        best = int(reduced.argmin())
+        if reduced.flat[best] >= -tol:
+            break
+        i_in, j_in = divmod(best, n)
+        # the cycle closes the tree path from column j_in to row i_in; its
+        # cells alternate -, +, - ... from the column end
+        up, down = m + j_in, i_in
+        from_col, from_row = [], []
+        while up != down:
+            if depth[up] >= depth[down]:
+                from_col.append(_cell(up, parent[up], m))
+                up = parent[up]
+            else:
+                from_row.append(_cell(down, parent[down], m))
+                down = parent[down]
+        path = from_col + from_row[::-1]
+        minus, plus = path[0::2], path[1::2]
+        leaving = min(minus, key=flow.__getitem__)
+        theta = flow[leaving]
+        for cell in minus:
+            flow[cell] -= theta
+        for cell in plus:
+            flow[cell] += theta
+        del flow[leaving]
+        flow[(i_in, j_in)] = theta
+        i_out, j_out = leaving
+        nbrs[i_out].remove(m + j_out)
+        nbrs[m + j_out].remove(i_out)
+        nbrs[i_in].append(m + j_in)
+        nbrs[m + j_in].append(i_in)
+    return list(flow)
+
+
+def _cell(k: int, l: int, m: int) -> tuple[int, int]:
+    """The cell of the tree edge between nodes k and l (one row, one
+    column)."""
+    return (k, l - m) if k < m else (l, k - m)
 
 
 def _rational_problem(a_weights, b_weights, cost_rows):
@@ -386,17 +482,14 @@ def _transport_simplex(cost, flow) -> Fraction:
         del flow[leaving]
 
 
-class _LPValue(float):
-    """Optimal value of a float transportation LP. `flows` holds the m x n
-    flows of the vertex it was read from."""
-
-    flows: np.ndarray
-
-
 def _highs_transport(a_weights, b_weights, cost_rows) -> float:
-    """Optimal total cost of the transportation LP by the HiGHS dual simplex,
-    checked by its duality gap. The value carries the flows of the optimal
-    vertex (`_LPValue.flows`), from which `_exact_transport` starts."""
+    """Optimal total cost of the transportation LP by the HiGHS dual simplex
+    in floats, checked by its duality gap. Presolve is off: it removes
+    nothing from a dense transportation LP and was most of the solve time.
+    The feasibility tolerances are HiGHS's tightest, 1e-10: at the default
+    1e-7 a reduced cost just above -1e-7 counts as optimal, and on spider
+    costs d^3 that left the value up to 5e-8 (relative) above the optimum
+    while the duality gap stayed within its check."""
     from scipy import optimize, sparse
 
     m, n = len(a_weights), len(b_weights)
@@ -410,16 +503,17 @@ def _highs_transport(a_weights, b_weights, cost_rows) -> float:
     rhs = np.concatenate([a_weights, b_weights])
     rhs[:m] *= np.sum(b_weights) / np.sum(a_weights)
     res = optimize.linprog(c, A_eq=a_eq, b_eq=rhs, bounds=(0, None),
-                           method="highs-ds")
+                           method="highs-ds",
+                           options={"presolve": False,
+                                    "primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise NumericalError(f"transport LP failed: {res.message}")
     duals = res.eqlin.marginals
     gap = abs(float(res.fun) - float(rhs @ duals))
     if gap > 1e-10 * (1.0 + abs(float(res.fun))):
         raise NumericalError(f"transport LP duality gap {gap} too large")
-    value = _LPValue(res.fun)
-    value.flows = res.x.reshape(m, n)
-    return value
+    return float(res.fun)
 
 
 def support_diameter(sp: Space, p: Measure, q: Measure) -> float:

@@ -233,6 +233,30 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space, measures, q, error", [
+    # one atom a side, 1 rad apart at r = 0.5: W_q is about 0.479, but every
+    # d^q underflows to 0
+    ({"kind": "kale", "alpha": 9.42477796076938},
+     ([{"point": {"dir": 0.0, "r": 0.5}, "weight": 1.0}],
+      [{"point": {"dir": 1.0, "r": 0.5}, "weight": 1.0}]), 1e6, "underflows"),
+    # the fixture's distances of 2 overflow
+    (None, None, 2000, "overflows"),
+])
+def test_wasserstein_order_beyond_float_range(tmp_path, capsys, space, measures,
+                                              q, error):
+    data = json.loads(read_fixture("kale_3pi_thirds.json"))
+    if space is not None:
+        data["space"] = space
+        data["measure"] = {"atoms": measures[0]}
+        data["measure2"] = {"atoms": measures[1]}
+    data["parameters"]["q"] = q
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["wasserstein", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: transport cost d^q {error} at order q = {q:g}" in err
+
+
 BAD_DIRECTIONS = [
     # (fixture, command, parameter, value, pointer)
     ("petersen_cone.json", "derivs", "grid", [[0, 99.0]], "/parameters/grid/0"),
@@ -447,8 +471,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_scipy_free_commands_load_no_scipy(tmp_path):
     runs = [(name, cmd) for name in FIXTURES
-            for cmd in ("mean", "derivs", "classify", "perturb", "divergence",
-                        "sample-sim", "clt", "prismatic")
+            for cmd in ("mean", "derivs", "classify", "perturb", "wasserstein",
+                        "divergence", "sample-sim", "clt", "prismatic")
             if not (name.startswith("openbook") and cmd in BOOK_UNSUPPORTED)]
     runs.append(("kale_3pi_thirds.json", "modulation"))
     code = (f"from stickygeom import cli\n"

@@ -153,10 +153,24 @@ def test_exact_transport_matches_northwest_simplex():
         assert _exact_transport(aw, bw, cost) == _northwest_value(aw, bw, cost)
 
 
+def _record_start(monkeypatch):
+    """Collect every tree `_float_start` returns."""
+    trees = []
+    float_start = T._float_start
+
+    def recording(a_weights, b_weights, cost_rows):
+        tree = float_start(a_weights, b_weights, cost_rows)
+        trees.append(set(tree))
+        return tree
+
+    monkeypatch.setattr(T, "_float_start", recording)
+    return trees
+
+
 def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
     # across legs a spider's W_1 cost is r + s, so the LP has many optimal
-    # vertices; the tree of the one HiGHS returns here is feasible, but some
-    # reduced cost is negative
+    # vertices; the tree the float start ends on here is feasible, but some
+    # reduced cost is negative in exact arithmetic
     sp = S.spider(4)
     rng = np.random.default_rng(2)
     p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
@@ -165,9 +179,11 @@ def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
     cost = [[S.cone_distance(sp, x, y) for y in q.points()] for x in p.points()]
     want = _northwest_value(aw, bw, cost)
     a, b, _ = T._rational_problem(aw, bw, cost)
+    trees = _record_start(monkeypatch)
     runs = _record_simplex(monkeypatch)
     assert _exact_transport(aw, bw, cost) == want
     (start, final), = runs
+    assert start == trees[0]
     assert start != set(T._northwest_corner(a, b))
     assert final != start
 
@@ -177,31 +193,80 @@ def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatc
     cost = [[1.0, 2.0], [3.0, 1.5]]
     # the tree {(0, 0), (1, 1), (1, 0)} sends all of row 0 into column 0,
     # which needs less, so leaf elimination finds a negative flow
-    flows = np.array([[0.7, 0.0], [0.1, 0.2]])
+    tree = T._spanning_tree(np.array([[0.7, 0.0], [0.1, 0.2]]))
     a, b, _ = T._rational_problem(aw, bw, cost)
-    assert T._tree_flows(a, b, T._spanning_tree(flows)) is None
-
-    def vertex(a_weights, b_weights, cost_rows):
-        value = T._LPValue(1.15)
-        value.flows = flows
-        return value
+    assert T._tree_flows(a, b, tree) is None
 
     want = _northwest_value(aw, bw, cost)
-    monkeypatch.setattr(T, "_highs_transport", vertex)
+    monkeypatch.setattr(T, "_float_start", lambda *args: tree)
     runs = _record_simplex(monkeypatch)
     assert _exact_transport(aw, bw, cost) == want
     assert runs[0][0] == set(T._northwest_corner(a, b))
 
 
 def test_exact_transport_survives_highs_failure(monkeypatch):
+    # with no float pivots allowed, the start stops at its matrix-minimum
+    # tree, which is not optimal here; the rational simplex pivots on from it
     aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
     want = _northwest_value(aw, bw, cost)
+    uncapped = set(T._float_start(aw, bw, cost))
+    monkeypatch.setattr(T, "START_PIVOTS", 0)
+    trees = _record_start(monkeypatch)
+    runs = _record_simplex(monkeypatch)
+    assert _exact_transport(aw, bw, cost) == want
+    (start, final), = runs
+    assert start == trees[0] != uncapped
+    assert final != start
 
+
+def test_exact_band_does_not_call_highs(monkeypatch):
     def failing(a_weights, b_weights, cost_rows):
-        raise T.NumericalError("transport LP failed")
+        raise AssertionError("HiGHS called in the exact band")
 
     monkeypatch.setattr(T, "_highs_transport", failing)
-    assert _exact_transport(aw, bw, cost) == want
+    rng = np.random.default_rng(59)
+    for sp, sizes, order in ((S.spider(4), (64, 8), 1.0),
+                             (S.kale(2.5 * PI), (24, 24), 2.0),
+                             (S.petersen_cone(), (16, 20), 2.0)):
+        p, q = (S.measure(sp, [(gen.random_point(sp, rng), w)
+                               for w in rng.dirichlet(np.ones(m))]) for m in sizes)
+        cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
+                for x in p.points()]
+        want = float(_northwest_value(p.weights(), q.weights(), cost))
+        assert T.wq_lp(sp, p, q, order) == max(want, 0.0) ** (1.0 / order)
+
+
+def test_float_band_matches_exact_transport():
+    rng = np.random.default_rng(61)
+    for k in range(6):
+        sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
+              S.petersen_cone())[k % 3]
+        order = (1.0, 2.0)[k // 3]
+        p, q = (S.measure(sp, [(gen.random_point(sp, rng), w) for w in
+                               rng.dirichlet(np.ones(int(rng.integers(72, 97))))])
+                for _ in range(2))
+        aw, bw = p.weights(), q.weights()
+        assert min(len(aw), len(bw)) > T.EXACT_LP_LIMIT
+        cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
+                for x in p.points()]
+        exact = float(_exact_transport(aw, bw, cost))
+        assert _highs_transport(aw, bw, cost) == pytest.approx(exact, rel=1e-12)
+
+
+def test_float_band_is_optimal_on_cubic_spider_costs():
+    # across legs the cost (r + s)^3 leaves many vertices close to optimal;
+    # at HiGHS's default feasibility tolerances (1e-7) this LP stopped at one
+    # 2.6e-11 (relative) above the optimum, within the duality-gap check
+    sp = S.spider(4)
+    rng = np.random.default_rng(0)
+    m = int(rng.integers(72, 97))
+    p, q = (S.measure(sp, [((int(rng.integers(0, 4)), float(rng.uniform(0.5, 1.5))), w)
+                           for w in rng.dirichlet(np.ones(m))]) for _ in range(2))
+    aw, bw = p.weights(), q.weights()
+    cost = [[d ** 3.0 for d in row]
+            for row in S.cone_distances(sp, p.points(), q.points()).tolist()]
+    exact = float(_exact_transport(aw, bw, cost))
+    assert _highs_transport(aw, bw, cost) == pytest.approx(exact, rel=1e-12)
 
 
 def test_large_instance_uses_highs(spider3):

@@ -6,6 +6,9 @@ processed in fixed-size chunks; chunk c draws from an independent Philox
 stream `Philox(key=seed).jumped(c)`.  The chunk layout never depends on the
 worker count, so results are a pure function of (inputs, seed), and chunk
 outputs are combined in chunk order regardless of scheduling.
+`count_windows` hands the same rows out a few chunks at a time, so a caller
+that reduces each window holds O(threads * CHUNK * m) counts whatever the
+number of trials.
 """
 from __future__ import annotations
 
@@ -25,9 +28,10 @@ def _chunk_counts(w: np.ndarray, n: int, seed: int, chunk_index: int,
 
 
 def resample_counts(weights, n: int, trials: int, seed: int,
-                    threads: int = 1) -> np.ndarray:
+                    threads: int = 1, first_chunk: int = 0) -> np.ndarray:
     """(trials, len(weights)) matrix of multinomial draw counts for i.i.d.
-    samples of size n."""
+    samples of size n; its rows start at chunk first_chunk of the seed's
+    stream."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if n <= 0:
@@ -35,7 +39,7 @@ def resample_counts(weights, n: int, trials: int, seed: int,
     w = np.asarray(weights, dtype=float)
     jobs = []
     start = 0
-    chunk_index = 0
+    chunk_index = first_chunk
     while start < trials:
         rows = min(CHUNK, trials - start)
         jobs.append((chunk_index, rows))
@@ -48,3 +52,16 @@ def resample_counts(weights, n: int, trials: int, seed: int,
     else:
         parts = [_chunk_counts(w, n, seed, c, rows) for c, rows in jobs]
     return np.concatenate(parts, axis=0)
+
+
+def count_windows(weights, n: int, trials: int, seed: int, threads: int = 1):
+    """The rows of resample_counts(weights, n, trials, seed), handed out in
+    order as windows of `threads` chunks (the last one shorter)."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if n <= 0:
+        raise ValueError("sample size must be positive")
+    window = max(threads, 1) * CHUNK
+    return (resample_counts(weights, n, min(window, trials - start), seed, threads,
+                            first_chunk=start // CHUNK)
+            for start in range(0, trials, window))

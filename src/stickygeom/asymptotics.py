@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import resample_counts
+from ._mc import count_windows, resample_counts
 from .directions import batch_min_derivative, build_system, min_derivative
 from .spaces import Cone, Measure
 from .stickiness import exact_mean_distance_moment
@@ -51,7 +51,8 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
 
     method "exact" (or "auto" where tractable: spider cones, <= 4 atoms,
     n <= 400) enumerates multinomial resample counts; otherwise seeded Monte
-    Carlo over `trials` resamples."""
+    Carlo over `trials` resamples, scored a window of `_mc.CHUNK`-row chunks
+    at a time, so only the `trials` distances are kept."""
     if q < 1.0:
         raise ValueError("moment order must be >= 1")
     system = _require_mean_at_apex(sp, mu)
@@ -69,9 +70,13 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
         except ValueError:
             if method == "exact":
                 raise
-    counts = resample_counts(mu.weights(), n, trials, seed, threads)
-    minvals = batch_min_derivative(system, counts.astype(float)) / float(n)
-    dq = np.maximum(0.0, -minvals) ** q
+    windows = count_windows(mu.weights(), n, trials, seed, threads)
+    dq = np.empty(trials)
+    start = 0
+    for counts in windows:
+        minvals = batch_min_derivative(system, counts.astype(float)) / float(n)
+        dq[start:start + len(counts)] = np.maximum(0.0, -minvals) ** q
+        start += len(counts)
     m_hat = scale * float(dq.mean()) / denom
     se = scale * float(dq.std(ddof=1)) / math.sqrt(trials) / denom if trials > 1 else 0.0
     return ModulationEstimate(n, q, m_hat, se, denom, trials, False)
@@ -131,7 +136,10 @@ class SimulatedCovariance:
 def clt_simulate(sp: Cone, mu: Measure, grid, n: int, trials: int, seed: int,
                  threads: int = 1) -> SimulatedCovariance:
     """Empirical covariance of sqrt(n) (empirical - population) direction
-    derivatives over the grid, with per-entry standard errors."""
+    derivatives over the grid, with per-entry standard errors.  Unlike the
+    other Monte Carlo paths it holds all (trials x atoms) counts and the
+    (trials x grid) deviations at once: the standard errors need every
+    centered deviation."""
     if trials < 2:
         raise ValueError("need at least two trials")
     pulls = _grid_pulls(sp, mu, grid)

@@ -21,7 +21,10 @@ batched minimizer used by the Monte Carlo paths never forms an angle.  An
 atom's distance has slope +-1 on a piece and stays in [0, pi] there, so a
 piece that is not flat is at most pi long, and on it the minimum lies
 strictly inside exactly when the derivative a sin(theta) - b cos(theta) is
-negative at lo and positive at hi; only those cells take c - hypot(a, b).
+negative at lo and positive at hi.  Those end derivatives are linear in the
+row of weights, so a table of every atom's part of them, built once per
+call, screens every piece of a block of rows with one matrix product; a, b,
+c and c - hypot(a, b) are formed only on the cells that pass.
 """
 from __future__ import annotations
 
@@ -293,30 +296,41 @@ def touching_angles(system: DirectionSystem, row0, row1) -> list:
     return _inside_coords(system, theta, inside)
 
 
+def _end_derivatives(table: PieceTable) -> np.ndarray:
+    """(m, 2P) table of each atom's part of the derivative a sin(theta) -
+    b cos(theta) at every piece's lo (first P columns) and hi (last P)."""
+    return np.hstack([table.a * np.sin(table.lo) - table.b * np.cos(table.lo),
+                      table.a * np.sin(table.hi) - table.b * np.cos(table.hi)])
+
+
 def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndarray:
     """Vectorized minimum derivative for rows of atom coefficients.
 
     Each row plays the role of (weight * radius-normalization) per atom, e.g.
-    resample counts / n.  Rows go through the candidate pulls and the
-    stacked piece table in blocks of ROW_BLOCK, so memory stays
-    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.  A piece
-    adds its value c - hypot(a, b) only where the sign test at its ends puts
-    the critical angle strictly inside; a critical angle on a piece end is
-    a breakpoint, which the candidates already score.
+    resample counts / n.  A piece's end derivatives a sin(theta) -
+    b cos(theta) are linear in the row, so one (m x 2P) table of the
+    per-atom derivatives at every lo and hi screens every piece with one
+    matrix product.  A piece adds its value c - hypot(a, b) only where the
+    derivative is < 0 at lo and > 0 at hi, which puts the critical angle
+    strictly inside; a, b and c are formed for those cells alone.  A flat
+    piece has a zero column, so it never passes, and a critical angle on a
+    piece end is a breakpoint, which the candidates already score.  Rows go
+    through in blocks of ROW_BLOCK, so memory stays
+    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     table = system.pieces
-    cos_lo, sin_lo = np.cos(table.lo), np.sin(table.lo)
-    cos_hi, sin_hi = np.cos(table.hi), np.sin(table.hi)
+    P = len(table)
+    ends = _end_derivatives(table)
+    abc = np.stack([table.a.T, table.b.T, table.c.T])  # (3, P, m)
     best = np.empty(len(coeffs))
     for start in range(0, len(coeffs), ROW_BLOCK):
         x = coeffs[start:start + ROW_BLOCK]
-        a, b, c = x @ table.a, x @ table.b, x @ table.c
-        # the derivative a sin(theta) - b cos(theta) is < 0 at lo and > 0 at hi
-        rows, cols = np.nonzero((a * sin_lo < b * cos_lo) & (a * sin_hi > b * cos_hi))
+        d = x @ ends
+        rows, cols = np.divmod(np.flatnonzero((d[:, :P] < 0.0) & (d[:, P:] > 0.0)), P)
+        a, b, c = np.einsum("kj,ikj->ik", x[rows], abc[:, cols])
         piece_min = np.full(len(x), np.inf)
-        np.minimum.at(piece_min, rows,
-                      c[rows, cols] - np.hypot(a[rows, cols], b[rows, cols]))
+        np.minimum.at(piece_min, rows, c - np.hypot(a, b))
         # min over candidates of -(x . pull) == -(max of x . pull)
         best[start:start + ROW_BLOCK] = np.minimum(-(x @ system.pulls).max(axis=1),
                                                    piece_min)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._mc import resample_counts
+from ._mc import count_windows
 from .directions import (TIE_TOL, batch_min_derivative, build_system,
                          min_derivative, touching_angles)
 from .frechet import book_mean_over, directional_derivative, mean_from_min_derivative
@@ -195,7 +195,9 @@ def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
                     threads: int = 1) -> SampleStickingResult:
     """Monte Carlo estimate of the probability that the mean of an n-sample
     leaves the cone point (open books: leaves the spine); deterministic given
-    the seed and independent of the thread count."""
+    the seed and independent of the thread count.  The resamples are drawn
+    and scored a window of `_mc.CHUNK`-row chunks at a time, so memory does
+    not grow with the number of trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if isinstance(sp, OpenBook):
@@ -203,13 +205,14 @@ def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
         # apex; atoms that differ only off the spider merge there
         sp, mu = sp.spider, spider_marginal(sp, mu)
     system = build_system(sp, mu)
-    counts = resample_counts(mu.weights(), n, trials, seed, threads)
-    # a tied resample has smallest derivative zero up to rounding, and the
-    # rounding grows with the radii; only a minimum below the tie tolerance
-    # of the derivative's scale counts as leaving
-    minvals = batch_min_derivative(system, counts.astype(float))
-    nonstick = minvals < -TIE_TOL * (counts @ system.radii)
-    p_hat = float(nonstick.mean())
+    leaving = 0
+    for counts in count_windows(mu.weights(), n, trials, seed, threads):
+        # a tied resample has smallest derivative zero up to rounding, and the
+        # rounding grows with the radii; only a minimum below the tie
+        # tolerance of the derivative's scale counts as leaving
+        minvals = batch_min_derivative(system, counts.astype(float))
+        leaving += int(np.count_nonzero(minvals < -TIE_TOL * (counts @ system.radii)))
+    p_hat = leaving / trials
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return SampleStickingResult(n, trials, p_hat, se, seed)
 
@@ -262,13 +265,10 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int):
         raise ValueError("exact enumeration supports at most 4 atoms")
     if n > 400:
         raise ValueError("exact enumeration supports n <= 400")
-    # imported past the checks: modulation tries this path on every cone
-    from scipy.special import gammaln
-
     radii = np.array([p.radius for p in mu.points()])
     legs = [p.direction for p in mu.points()]
     logw = np.log(np.array(mu.weights()))
-    lg = gammaln(np.arange(n + 2))
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
     for counts in _count_blocks(n, m):
         contrib = counts * radii
@@ -276,7 +276,8 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int):
         for i, leg in enumerate(legs):
             sums[leg] = sums.get(leg, 0) + contrib[:, i]
         best = np.max(list(sums.values()), axis=0)
-        logpmf = lg[n + 1] - lg[counts + 1].sum(axis=-1) + (counts * logw).sum(axis=-1)
+        logpmf = (log_factorial[n] - log_factorial[counts].sum(axis=-1)
+                  + (counts * logw).sum(axis=-1))
         yield np.maximum(0.0, (2.0 * best - contrib.sum(axis=-1)) / n), np.exp(logpmf)
 
 

@@ -474,7 +474,7 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
             for cmd in ("mean", "derivs", "classify", "perturb", "wasserstein",
                         "divergence", "sample-sim", "clt", "prismatic")
             if not (name.startswith("openbook") and cmd in BOOK_UNSUPPORTED)]
-    runs.append(("kale_3pi_thirds.json", "modulation"))
+    runs += [("kale_3pi_thirds.json", "modulation"), ("spider3_thirds.json", "modulation")]
     code = (f"from stickygeom import cli\n"
             f"for name, cmd in {runs!r}:\n"
             f"    rc = cli.main([cmd, '--config', cli.fixture_path(name),\n"
@@ -485,10 +485,32 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("cmd", ["wasserstein", "modulation"])
-def test_scipy_commands_resolve_their_imports(tmp_path, cmd):
-    out = tmp_path / "r.json"
-    proc = _fresh_python("-m", "stickygeom.cli", cmd, "--config",
-                         fixture_path("spider3_thirds.json"), "--out", str(out))
+WIDE_ATOMS = [{"point": {"dir": k % 3, "r": 0.5 + k / 65.0}, "weight": 1.0 / 65.0}
+              for k in range(65)]
+SCIPY_CALLS = {
+    # the float transport band starts past 64 atoms a side
+    "wasserstein": (
+        "import json, sys\n"
+        "from stickygeom import cli\n"
+        f"atoms = {WIDE_ATOMS!r}\n"
+        "cfg = {'space': {'kind': 'spider', 'K': 3},\n"
+        "       'measure': {'atoms': atoms},\n"
+        "       'measure2': {'atoms': atoms[1:] + atoms[:1]},\n"
+        "       'parameters': {'q': 2}}\n"
+        "json.dump(cfg, open(sys.argv[1], 'w'))\n"
+        "assert cli.main(['wasserstein', '--config', sys.argv[1],\n"
+        "                 '--out', sys.argv[1] + '.out']) == 0\n"),
+    "c_kappa_epsilon": (
+        "from stickygeom import frechet\n"
+        "assert frechet.c_kappa_epsilon(1.0, 0.5, grid=21) >= 1.0\n"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SCIPY_CALLS))
+def test_scipy_commands_resolve_their_imports(tmp_path, call):
+    """The calls that still need scipy import it lazily, and the import
+    resolves in a fresh process."""
+    proc = _fresh_python("-c", SCIPY_CALLS[call] + SCIPY_MODULES,
+                         str(tmp_path / "cfg.json"))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())
+    assert "'scipy.optimize'" in proc.stdout

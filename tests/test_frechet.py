@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from stickygeom import asymptotics as A
 from stickygeom import directions as D
 from stickygeom import frechet as F
 from stickygeom import spaces as S
-from stickygeom._mc import resample_counts
+from stickygeom import stickiness as ST
+from stickygeom._mc import CHUNK, resample_counts
 from stickygeom.directions import (
     ROW_BLOCK,
     batch_min_derivative,
@@ -174,6 +176,107 @@ def test_batch_minimizer_forms_no_critical_angle(monkeypatch):
 
     monkeypatch.setattr(D, "_critical_angles", refuse)
     assert batch_min_derivative(system, rows).tobytes() == want.tobytes()
+
+
+END_TABLE_MAKERS = {
+    "short_kale": lambda rng: S.kale(float(rng.uniform(0.5 * PI, 1.9 * PI))),
+    "long_kale": lambda rng: S.kale(float(rng.uniform(2.0 * PI, 4.0 * PI))),
+    "tree": gen.random_tree_graph_cone,
+    "cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+    "petersen": lambda rng: S.petersen_cone(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(END_TABLE_MAKERS))
+def test_end_derivative_table_matches_coefficients(kind):
+    """Rows times the end-derivative table give a sin(theta) - b cos(theta)
+    at every piece's lo and hi, with a and b from the piece coefficients."""
+    rng = np.random.default_rng(41)
+    for seed in range(20):
+        sp = END_TABLE_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng, max_atoms=10)
+        t = build_system(sp, mu).pieces
+        w = np.asarray(mu.weights())
+        x = np.vstack([w[None, :], resample_counts(w, 20, 12, seed=seed) / 20.0])
+        a, b = x @ t.a, x @ t.b
+        ends = x @ D._end_derivatives(t)
+        P = len(t)
+        for got, theta in ((ends[:, :P], t.lo), (ends[:, P:], t.hi)):
+            want = a * np.sin(theta) - b * np.cos(theta)
+            assert (np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))).all()
+
+
+def test_batch_minimizer_rows_with_zero_entries():
+    """A row that leaves atoms out makes their pieces flat or changes their
+    sinusoid; single atoms, halves and the weight row all match."""
+    rng = np.random.default_rng(43)
+    for make in (lambda: S.kale(3.0 * PI), lambda: S.kale(1.5 * PI), S.petersen_cone):
+        sp = make()
+        mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                            for w in rng.dirichlet(np.ones(8))])
+        w = np.asarray(mu.weights())
+        rows = [w, *np.eye(len(w))]
+        for _ in range(10):
+            keep = rng.random(len(w)) < 0.5
+            rows.append(np.where(keep, w, 0.0))
+        _assert_batch_matches_scalar(build_system(sp, mu), np.array(rows))
+
+
+def test_batch_minimizer_on_finite_directions():
+    """Spiders and finite direction sets have no pieces (P = 0): the
+    candidates alone give the minimum."""
+    rng = np.random.default_rng(47)
+    for sp in (S.spider(4), gen.random_finite_cone(rng), gen.random_finite_cone(rng)):
+        mu = gen.random_measure(sp, rng, max_atoms=6)
+        system = build_system(sp, mu)
+        assert len(system.pieces) == 0
+        w = np.asarray(mu.weights())
+        rows = np.vstack([w[None, :], resample_counts(w, 15, 20, seed=3) / 15.0])
+        _assert_batch_matches_scalar(system, rows)
+
+
+def test_batch_minimizer_across_a_chunk_edge():
+    count = CHUNK + 1
+    rng = np.random.default_rng(53)
+    sp = S.kale(2.7 * PI)
+    mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                        for w in rng.dirichlet(np.ones(6))])
+    rows = resample_counts(mu.weights(), 20, count, seed=9) / 20.0
+    system = build_system(sp, mu)
+    assert batch_min_derivative(system, rows).shape == (count,)
+    _assert_batch_matches_scalar(system, rows)
+
+
+def test_streamed_monte_carlo_matches_one_whole_matrix_call():
+    """sample_sticking and Monte Carlo modulation score the resamples a
+    window of chunks at a time; the bits are those of one batch call on the
+    whole count matrix."""
+    rng = np.random.default_rng(59)
+    sp = S.petersen_cone()
+    mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                        for w in rng.dirichlet(np.ones(16))])
+    n, trials, seed = 20, 2 * CHUNK + 3, 17
+    system = build_system(sp, mu)
+    counts = resample_counts(mu.weights(), n, trials, seed)
+    minvals = batch_min_derivative(system, counts.astype(float))
+    p_hat = float((minvals < -D.TIE_TOL * (counts @ system.radii)).mean())
+    assert 0.0 < p_hat < 1.0
+    for threads in (1, 2):
+        res = ST.sample_sticking(sp, mu, n, trials, seed, threads)
+        assert res.p_hat.hex() == p_hat.hex()
+
+    # a measure with its mean at the apex, for modulation
+    kale = S.kale(3.0 * PI)
+    thirds = S.measure(kale, [((k * PI, 1.0), 1.0 / 3.0) for k in range(3)])
+    system = build_system(kale, thirds)
+    counts = resample_counts(thirds.weights(), n, trials, seed)
+    dq = np.maximum(0.0, -batch_min_derivative(system, counts.astype(float)) / n) ** 2.0
+    assert dq.any()
+    for threads in (1, 2):
+        est = A.modulation(kale, thirds, n, 2.0, trials, seed, method="mc",
+                           threads=threads)
+        assert est.m_hat == n * float(dq.mean()) / est.denominator
+        assert est.se == n * float(dq.std(ddof=1)) / math.sqrt(trials) / est.denominator
 
 
 def test_cone_mean_examples(spider3, thirds):

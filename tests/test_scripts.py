@@ -1,5 +1,6 @@
 """Smoke tests of the scripts: each table script runs and prints its CSV;
-the fixture reports rerun byte for byte and parse as strict JSON."""
+the fixture reports rerun byte for byte and parse as strict JSON, and so
+do the kernel values."""
 import json
 import os
 import subprocess
@@ -66,3 +67,26 @@ def test_fixture_json_reports_are_strict_json(tmp_path):
         == [None, None]
     assert reports["kale_3pi_thirds.divergence.json"]["value"] is None
     assert "inf" in (tmp_path / "kale_3pi_thirds.divergence.csv").read_text()
+
+
+def test_kernel_values_rerun_byte_identical(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "kernel_values.py")
+    files = []
+    for name in ("a", "b"):
+        proc = subprocess.run([sys.executable, script, str(tmp_path / name),
+                               "--measures", "20"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files.append((tmp_path / name / "kernel_values.npz").read_bytes())
+    assert files[0] == files[1]
+    proc = subprocess.run([sys.executable, script, "--compare", str(tmp_path / "a"),
+                           str(tmp_path / "b")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "scalar: 0 of 1040 moved, largest move 0",
+        "batch: 0 of 1040 moved, largest move 0",
+        "scale: 0 of 1040 moved, largest move 0",
+        "verdicts: 0 of 1040 flipped",
+    ]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom import stickiness as ST
 from stickygeom import transport as T
+from stickygeom._mc import CHUNK
 
 PI = math.pi
 
@@ -390,6 +392,24 @@ def test_sample_sticking_open_book():
     marg = S.spider_marginal(bk, thirds)
     res2 = ST.sample_sticking(bk.spider, marg, 101, 4000, 7)
     assert res.p_hat == res2.p_hat
+
+
+def test_sample_sticking_memory_does_not_grow_with_trials():
+    """50 chunks of resamples of a 48-atom measure: one whole count matrix
+    would be 50 chunk matrices (79 MB), the streamed run holds a few."""
+    rng = np.random.default_rng(61)
+    sp = S.kale(3.0 * PI)
+    mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                        for w in rng.dirichlet(np.ones(48))])
+    chunk_bytes = CHUNK * mu.size * 8
+    tracemalloc.start()
+    try:
+        res = ST.sample_sticking(sp, mu, 20, 50 * CHUNK, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < res.p_hat < 1.0
+    assert peak < 8 * chunk_bytes
 
 
 def test_decay_of_nonstick_rate(spider3, thirds):

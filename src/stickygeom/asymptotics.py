@@ -53,6 +53,8 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
     n <= 400) enumerates multinomial resample counts; otherwise seeded Monte
     Carlo over `trials` resamples, scored a window of `_mc.CHUNK`-row chunks
     at a time, so only the `trials` distances are kept."""
+    if method not in MODULATION_METHODS:
+        raise ValueError(f"unknown modulation method {method!r}")
     if q < 1.0:
         raise ValueError("moment order must be >= 1")
     system = _require_mean_at_apex(sp, mu)
@@ -60,8 +62,6 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
     if denom <= 0.0:
         raise ValueError("modulation denominator vanishes (point mass at the apex)")
     scale = float(n) ** (q / 2.0)
-    if method not in MODULATION_METHODS:
-        raise ValueError(f"unknown modulation method {method!r}")
     if method in ("auto", "exact"):
         try:
             moment = exact_mean_distance_moment(sp, mu, n, q)

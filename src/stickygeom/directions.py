@@ -2,29 +2,34 @@
 function at the cone point.
 
 The derivative in direction sigma is -sum_i w_i pull_i(sigma) with the pull
-r_i cos(min(d(sigma, dir_i), pi)).  `DirectionSystem.pull_matrix` is the one
-evaluator of pulls; every derivative is an exact fsum over one of its columns.
+r_i cos(min(d(sigma, dir_i), pi)), and every derivative is an exact fsum
+over a column of pulls.  Every distance here is the direction space's own
+`distances`; this module holds no metric of its own.
 
 Between breakpoints (atom directions, points where an atom's capped distance
 reaches pi, branch switches of graph distances) every atom contributes either
 a constant or cos(theta + delta_i), so each smooth piece is a single sinusoid
 plus a constant, c - R cos(theta - phi).  Its minimizer on the piece is the
 critical angle phi when that lies inside, else an endpoint.  The pieces of
-a measure are built once, as arrays: the circle and graph builders find the
-breakpoints, then give every atom's distance to every piece's midpoint and
-its phase there as (atoms x pieces) arrays, and `_coefficients` turns those
-into a `PieceTable` (one column per piece) by one rule.  One closed form
-for the critical angles serves the exact queries: the scalar minimizer
-scores them exactly with the breakpoints, and `touching_angles` finds where
-a piece minimum of the perturbation threshold's mixtures reaches zero.  The
-batched minimizer used by the Monte Carlo paths never forms an angle.  An
-atom's distance has slope +-1 on a piece and stays in [0, pi] there, so a
-piece that is not flat is at most pi long, and on it the minimum lies
-strictly inside exactly when the derivative a sin(theta) - b cos(theta) is
-negative at lo and positive at hi.  Those end derivatives are linear in the
-row of weights, so a table of every atom's part of them, built once per
-call, screens every piece of a block of rows with one matrix product; a, b,
-c and c - hypot(a, b) are formed only on the cells that pass.
+a measure are built once, as arrays.  The circle and graph builders only
+find the breakpoints, which are the candidates, and the pieces between them;
+`build_system` reads the rest from the metric: one table of atom-to-candidate
+distances gives the pulls and each atom's distance at both ends of every
+piece, and one more gives its distance at every midpoint.  The slope, the
+sign of d(hi) - d(lo), and the midpoint distance give the phase, and
+`_coefficients` turns those into a `PieceTable` (one column per piece) by one
+rule.  One closed form for the critical angles serves the exact queries: the
+scalar minimizer scores them exactly with the breakpoints, and
+`touching_angles` finds where a piece minimum of the perturbation
+threshold's mixtures reaches zero.  The batched minimizer used by the Monte
+Carlo paths never forms an angle.  An atom's distance has slope +-1 on a
+piece and stays in [0, pi] there, so a piece that is not flat is at most pi
+long, and on it the minimum lies strictly inside exactly when the derivative
+a sin(theta) - b cos(theta) is negative at lo and positive at hi.  Those end
+derivatives are linear in the row of weights, so a table of every atom's
+part of them, built once per call, screens every piece of a block of rows
+with one matrix product; a, b, c and c - hypot(a, b) are formed only on the
+cells that pass.
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ class DirectionSystem:
     space: Space                   # a cone
     radii: np.ndarray              # (m,)
     candidates: list               # direction coords: enumeration or breakpoints
-    pulls: np.ndarray              # (m, len(candidates)) pull_matrix(candidates)
+    pulls: np.ndarray              # (m, len(candidates)) pulls at the candidates
     pieces: PieceTable
     atom_dirs: list = field(default_factory=list)
 
@@ -85,8 +90,8 @@ class DirectionSystem:
         canonicalized first, so one off the direction space raises
         ValueError."""
         ds = self.space.directions
-        dist = ds.distances(self.atom_dirs, [ds.canonical(c) for c in coords])
-        return self.radii[:, None] * np.cos(np.minimum(dist, PI))
+        return _pulls(self.radii, ds.distances(self.atom_dirs,
+                                               [ds.canonical(c) for c in coords]))
 
     def derivatives(self, weights, coords=None) -> list[float]:
         """Exact derivatives -fsum_i w_i pull_i at each coordinate (default:
@@ -106,23 +111,40 @@ class DirectionSystem:
 
 def build_system(sp: Space, mu: Measure) -> DirectionSystem:
     """Direction system of a cone measure.  An open book has none of its own:
-    this is the system of its spider marginal, whose weights go with it."""
+    this is the system of its spider marginal, whose weights go with it.
+
+    The kind's builder finds the candidates and the pieces between them;
+    everything else is read from the metric.  One table of every atom's
+    distance to every candidate gives the pulls and, in its columns, the
+    distances at both ends of every piece; one more gives the distances at
+    the piece midpoints.  On a piece an atom's distance has slope +-1, the
+    sign of d(hi) - d(lo), and the atom adds r cos(theta + phase) with phase
+    slope * d(mid) - mid."""
     if isinstance(sp, OpenBook):
         return build_system(sp.spider, spider_marginal(sp, mu))
     ds = sp.directions
     radii = np.array([p.radius for p in mu.points()])
     dirs = [p.direction for p in mu.points()]
     if isinstance(ds, FiniteDirections):
-        empty = np.zeros((len(radii), 0))
-        system = DirectionSystem("finite", sp, radii, list(range(ds.size)), None,
-                                 _coefficients(radii, np.zeros(0), np.zeros(0), empty,
-                                               empty, np.zeros(0, dtype=int)), dirs)
+        kind, cands = "finite", list(range(ds.size))
+        lo = hi = np.zeros(0)
+        edge, ends = np.zeros(0, dtype=int), np.zeros((2, 0), dtype=int)
     elif isinstance(ds, CircleDirections):
-        system = _build_circle(sp, ds, radii, dirs)
+        kind, (cands, lo, hi, edge, ends) = "circle", _circle_pieces(ds, radii, dirs)
     else:
-        system = _build_graph(sp, ds, radii, dirs)
-    system.pulls = system.pull_matrix(system.candidates)
-    return system
+        kind, (cands, lo, hi, edge, ends) = "graph", _graph_pieces(ds, radii, dirs)
+    dist = ds.distances(dirs, [ds.canonical(c) for c in cands])
+    mid = (lo + hi) / 2.0
+    mid_dist = ds.distances(dirs, mid if kind == "circle"
+                            else list(zip(edge.tolist(), mid.tolist())))
+    phase = np.sign(dist[:, ends[1]] - dist[:, ends[0]]) * mid_dist - mid
+    return DirectionSystem(kind, sp, radii, cands, _pulls(radii, dist),
+                           _coefficients(radii, lo, hi, mid_dist, phase, edge), dirs)
+
+
+def _pulls(radii, dist) -> np.ndarray:
+    """Pulls r cos(min(d, pi)) from the (m, k) distance table d."""
+    return radii[:, None] * np.cos(np.minimum(dist, PI))
 
 
 def _coefficients(radii, lo, hi, dist, delta, edge) -> PieceTable:
@@ -149,7 +171,10 @@ def _sorted_merged(values) -> list:
     return out
 
 
-def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
+def _circle_pieces(ds: CircleDirections, radii, dirs):
+    """Candidates (the breakpoints: every atom's direction and where its
+    distance reaches pi or its largest value), the pieces between them, and
+    the (2, P) candidate indices at each piece's lo and hi."""
     alpha = ds.alpha
     bps = set()
     for r, theta in zip(radii, dirs):
@@ -169,26 +194,21 @@ def _build_circle(sp, ds: CircleDirections, radii, dirs) -> DirectionSystem:
     lo = np.array(cands)
     hi = np.append(lo[1:], lo[0] + alpha)
     keep = hi - lo > 1e-14
-    lo, hi = lo[keep], hi[keep]
-    mid = (lo + hi) / 2.0
-    # each atom is reached through the winding k alpha nearest the midpoint;
-    # ties go to the smaller k.  An atom with r > 0 is a breakpoint, so
-    # mid - theta lies in (-alpha, alpha) and k = -1, 0 or 1; atoms at the
-    # apex add nothing whatever their k
-    theta = np.array(dirs, dtype=float)[:, None]
-    offsets = np.abs(mid - theta + np.arange(-1, 2)[:, None, None] * alpha)
-    delta = (offsets.argmin(axis=0) - 1) * alpha - theta
-    return DirectionSystem("circle", sp, radii, cands, None,
-                           _coefficients(radii, lo, hi, offsets.min(axis=0), delta,
-                                         np.full(len(lo), -1)), dirs)
+    ends = np.arange(len(lo))
+    ends = np.array([ends, (ends + 1) % len(lo)])[:, keep]
+    return cands, lo[keep], hi[keep], np.full(keep.sum(), -1), ends
 
 
-def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
+def _graph_pieces(ds: GraphDirections, radii, dirs):
+    """Candidates (the breakpoints on every edge: its ends, atom directions,
+    and where an atom's distance switches branch or reaches pi), the pieces
+    between consecutive ones on each edge, and the (2, P) candidate indices
+    at each piece's lo and hi."""
     # (edges, m): distance from each edge's first and second endpoint to
     # each atom's direction
     to_first, to_second = ds.endpoint_distances(dirs)
     cand_coords: list[tuple[int, float]] = []
-    los, his, piece_edges = [], [], []
+    los, his, piece_edges, lo_end = [], [], [], []
     for eid, ((_u, _v, length), ra, rb) in enumerate(
             zip(ds.edges, to_first.tolist(), to_second.tolist())):
         cuts = {0.0, length}
@@ -207,26 +227,14 @@ def _build_graph(sp, ds: GraphDirections, radii, dirs) -> DirectionSystem:
                 cuts.add((PI - b) / s)
         cleaned = _sorted_merged(min(max(c, 0.0), length) for c in cuts
                                  if -1e-14 <= c <= length + 1e-14)
+        lo_end += range(len(cand_coords), len(cand_coords) + len(cleaned) - 1)
         cand_coords += [(eid, coord) for coord in cleaned]
         los += cleaned[:-1]
         his += cleaned[1:]
         piece_edges += [eid] * (len(cleaned) - 1)
-    lo, hi, edge = np.array(los), np.array(his), np.array(piece_edges, dtype=int)
-    mid = (lo + hi) / 2.0
-    length = np.array([e[2] for e in ds.edges])[edge]
-    ra, rb = to_first[edge].T, to_second[edge].T
-    # the three branches of an atom's distance to the midpoint: through the
-    # piece's first endpoint, through its second, and along the piece's own
-    # edge; ties go to the earlier branch
-    atom_eid, atom_off = np.array(dirs).reshape(-1, 2).T[:, :, None]
-    branches = np.stack([ra + mid, rb + length - mid,
-                         np.where(atom_eid == edge, np.abs(mid - atom_off), np.inf)])
-    branch = branches.argmin(axis=0)
-    dist = branches.min(axis=0)
-    slope = np.where((branch == 0) | ((branch == 2) & (mid >= atom_off)), 1.0, -1.0)
-    return DirectionSystem("graph", sp, radii, cand_coords, None,
-                           _coefficients(radii, lo, hi, dist, slope * dist - mid, edge),
-                           dirs)
+    lo_end = np.array(lo_end, dtype=int)
+    return (cand_coords, np.array(los), np.array(his), np.array(piece_edges, dtype=int),
+            np.array([lo_end, lo_end + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ def test_modulation_validation(spider3, thirds):
         A.modulation(spider3, thirds, 10, 0.5, 100, 1)
 
 
+def test_modulation_checks_the_method_first(spider3, monkeypatch):
+    """An unknown method is named as such before any geometry runs, even on
+    a measure whose mean is off the cone point."""
+    monkeypatch.setattr(A, "build_system", None)  # any geometry call fails
+    off_center = S.dirac(spider3, S.point(spider3, 0, 1.0))
+    with pytest.raises(ValueError, match="unknown modulation method 'bogus'"):
+        A.modulation(spider3, off_center, 10, 2.0, 100, 1, method="bogus")
+
+
 def test_modulation_reproducible(plane_four):
     plane, four = plane_four
     a = A.modulation(plane, four, 60, 2.0, 4000, 123)

@@ -485,6 +485,13 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_c_kappa_epsilon_loads_no_scipy():
+    proc = _fresh_python("-c", "from stickygeom import frechet\n"
+                         "assert frechet.c_kappa_epsilon(1.0, 0.5) > 1.0\n" + SCIPY_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 WIDE_ATOMS = [{"point": {"dir": k % 3, "r": 0.5 + k / 65.0}, "weight": 1.0 / 65.0}
               for k in range(65)]
 SCIPY_CALLS = {
@@ -500,9 +507,6 @@ SCIPY_CALLS = {
         "json.dump(cfg, open(sys.argv[1], 'w'))\n"
         "assert cli.main(['wasserstein', '--config', sys.argv[1],\n"
         "                 '--out', sys.argv[1] + '.out']) == 0\n"),
-    "c_kappa_epsilon": (
-        "from stickygeom import frechet\n"
-        "assert frechet.c_kappa_epsilon(1.0, 0.5, grid=21) >= 1.0\n"),
 }
 
 

@@ -107,6 +107,7 @@ PIECE_MAKERS = {
     "plane": SPACE_MAKERS["plane"],
     "short_kale": lambda rng: S.kale(float(rng.uniform(0.3, 2.0 * PI))),
     "tree": SPACE_MAKERS["tree"],
+    "cycle": lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
     "petersen": SPACE_MAKERS["petersen"],
 }
 
@@ -114,7 +115,10 @@ PIECE_MAKERS = {
 @pytest.mark.parametrize("kind", sorted(PIECE_MAKERS))
 def test_piece_coefficients_are_the_pulls(kind):
     """At each piece's ends and midpoint, c - a cos(theta) - b sin(theta) is
-    every atom's negated pull as pull_matrix gives it."""
+    every atom's negated pull as pull_matrix gives it; and a, b and c are
+    rebuilt bit for bit from the metric alone: a cell is capped exactly
+    where `ds.distances` to the midpoint is >= pi, and an atom's phase is
+    slope * d(mid) - mid, with its slope the sign of d(hi) - d(lo)."""
     rng = np.random.default_rng(78)
     for _ in range(40):
         sp = PIECE_MAKERS[kind](rng)
@@ -129,6 +133,37 @@ def test_piece_coefficients_are_the_pulls(kind):
                  - t.b[:, cols] * np.sin(theta))
         gap = np.abs(table + system.pull_matrix(coords))
         assert (gap <= 1e-14 * (1.0 + system.radii[:, None])).all(), (kind, gap.max())
+
+        ds = sp.directions
+        ends = coords[:len(t)] + coords[2 * len(t):]
+        lo, hi = np.split(ds.distances(system.atom_dirs, [ds.canonical(c) for c in ends]),
+                          2, axis=1)
+        mid = ds.distances(system.atom_dirs, coords[len(t):2 * len(t)])
+        r = system.radii[:, None]
+        capped = (r > 0.0) & (mid >= PI)
+        smooth = (r > 0.0) & (mid < PI)
+        phase = np.sign(hi - lo) * mid - (t.lo + t.hi) / 2.0
+        assert ((t.c != 0.0) == capped).all(), kind
+        assert (np.where(capped, r, 0.0) == t.c).all(), kind
+        assert (np.where(smooth, r * np.cos(phase), 0.0) == t.a).all(), kind
+        assert (np.where(smooth, -r * np.sin(phase), 0.0) == t.b).all(), kind
+        assert (np.sign(hi - lo)[smooth] != 0.0).all(), kind
+
+
+def test_build_system_reads_two_distance_tables(monkeypatch):
+    """build_system asks the metric twice, whatever the kind: once at the
+    candidates (the pulls and the piece ends) and once at the midpoints."""
+    calls = []
+    for cls in (S.FiniteDirections, S.CircleDirections, S.GraphDirections):
+        monkeypatch.setattr(cls, "distances", lambda self, a, b, real=cls.distances:
+                            calls.append(type(self)) or real(self, a, b))
+    rng = np.random.default_rng(80)
+    for make in [*PIECE_MAKERS.values(), gen.random_finite_cone]:
+        sp = make(rng)
+        mu = gen.random_measure(sp, rng)
+        calls.clear()
+        build_system(sp, mu)
+        assert calls == [type(sp.directions)] * 2, calls
 
 
 PREMISE_MAKERS = {

@@ -389,19 +389,52 @@ def test_pull_ratio_conventions():
     assert F.pull_ratio(0.7, 0.7, 0.0) == 1.0
     assert F.pull_ratio(0.0, 0.0, 1.3) == 1.0
     assert F.pull_ratio(PI / 2, PI / 2, PI / 2) == pytest.approx(math.sqrt(2))
+    # close points keep their ratio: at colatitude a and small theta it
+    # tends to a / sin a, where an acos arc loses every digit
+    for a in (0.3, 1.0, 2.5):
+        for theta in (1e-4, 1e-6, 1e-8):
+            assert F.pull_ratio(a, a, theta) == pytest.approx(a / math.sin(a), rel=1e-7)
+
+
+def _pull_ratio_grid_max(eps: float, grid: int, haversine: bool) -> float:
+    """Largest chord-to-arc ratio over a grid x grid x grid sweep of a, b in
+    [0, pi - eps] and theta in [0, pi], with the arc from acos or from the
+    haversine formula."""
+    axis = np.linspace(0.0, PI - eps, grid)
+    aa, bb = np.meshgrid(axis, axis, indexing="ij")
+    best = 1.0
+    for theta in np.linspace(0.0, PI, grid):
+        half = math.sin(theta / 2.0) ** 2
+        num = np.sqrt((aa - bb) ** 2 + 4.0 * aa * bb * half)
+        if haversine:
+            hav = np.sin((aa - bb) / 2.0) ** 2 + np.sin(aa) * np.sin(bb) * half
+            den = 2.0 * np.arcsin(np.sqrt(np.minimum(hav, 1.0)))
+        else:
+            den = np.arccos(np.clip(np.sin(aa) * np.sin(bb) * math.cos(theta)
+                                    + np.cos(aa) * np.cos(bb), -1.0, 1.0))
+        psi = np.where(den < 1e-12, 1.0, num / np.maximum(den, 1e-300))
+        best = max(best, float(psi.max()))
+    return best
 
 
 def test_c_kappa_epsilon():
     assert F.c_kappa_epsilon(-1.0, 0.4) == 1.0
     assert F.c_kappa_epsilon(0.0, 1.0) == 1.0
-    rep = F.c_kappa_epsilon_report(1.0, PI / 2, grid=101)
-    assert rep.value >= math.sqrt(2) - 1e-9
-    assert rep.value == pytest.approx(PI / 2, rel=1e-6)
-    assert rep.value >= rep.grid_value
-    # eps = 1: the closed-form boundary candidate dominates the grid
-    rep2 = F.c_kappa_epsilon_report(2.5, 1.0, grid=81)
-    assert rep2.value >= (PI - 1.0) / math.sin(1.0) - 1e-12
-    assert rep2.value >= 1.0
+    value = F.c_kappa_epsilon(1.0, PI / 2)
+    assert value >= math.sqrt(2) - 1e-9
+    assert value == pytest.approx(PI / 2, rel=1e-6)
+    assert value >= _pull_ratio_grid_max(PI / 2, 101, haversine=False)
+    # eps = 1: the closed-form boundary value dominates the grid
+    value2 = F.c_kappa_epsilon(2.5, 1.0)
+    assert value2 >= (PI - 1.0) / math.sin(1.0) - 1e-12
+    assert value2 >= _pull_ratio_grid_max(1.0, 81, haversine=False)
+    assert value2 >= 1.0
+    # the grid sweep is the oracle for the closed form, also beyond the
+    # convex radius pi / 2 where the docstring's argument does not reach
+    for eps in (0.05, 0.2, 0.5, 1.0, PI / 2, 1.5, 2.5, 3.0):
+        for haversine in (False, True):
+            assert F.c_kappa_epsilon(1.0, eps) >= _pull_ratio_grid_max(
+                eps, 81, haversine), (eps, haversine)
     with pytest.raises(ValueError):
         F.c_kappa_epsilon(1.0, 0.0)
     with pytest.raises(ValueError):

@@ -264,7 +264,9 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     Breakpoints are always candidates (the derivative is non-smooth there);
     each smooth piece adds its closed-form critical angle when that lies
     inside the piece.  Every candidate is scored with the exact derivative,
-    and ties within TIE_TOL go to the smallest canonical coordinate."""
+    and ties within TIE_TOL (w @ radii + |best|) go to the smallest canonical
+    coordinate: both terms scale with a dilation r -> s r, so the argmin does
+    not depend on the scale."""
     w = np.asarray(weights, dtype=float)
     table = system.pieces
     theta, inside = _critical_angles(table, w @ table.a, w @ table.b)
@@ -272,7 +274,7 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     coords = system.candidates + critical
     values = system.derivatives(w) + system.derivatives(w, critical)
     best = min(values)
-    tol = TIE_TOL * (1.0 + abs(best))
+    tol = TIE_TOL * (float(w @ system.radii) + abs(best))
     canonical = system.space.directions.canonical
     _, g = min((canonical(coords[g]), g) for g, v in enumerate(values)
                if v <= best + tol)

@@ -27,6 +27,8 @@ from .spaces import (
 )
 from .transport import perturbed_measure
 
+# relative to the first moment w @ radii, which a dilation r -> s r scales as
+# it scales every direction derivative
 CLASSIFY_TOL = 1e-10
 
 
@@ -48,7 +50,8 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
     """Directional-stickiness certificate; by the flavor equivalences the
     label also certifies Wasserstein, perturbation and sample stickiness.
     An open book is classified by its spider marginal (the spine is sticky
-    iff the marginal's apex is); its mean keeps the heights."""
+    iff the marginal's apex is); its mean keeps the heights. c_min within
+    tol (w @ radii) of zero is boundary."""
     if isinstance(sp, OpenBook):
         rep = classify(sp.spider, spider_marginal(sp, mu), tol)
         return replace(rep, mean=book_mean_over(sp, mu, rep.mean))
@@ -58,9 +61,10 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
     derivs = tuple(zip(system.candidates, system.derivatives(w)))
     pc = pull_condition(sp, mu)
     mean = mean_from_min_derivative(sp, argmin, c_min)
-    if c_min > tol:
+    scale = tol * float(np.asarray(w) @ system.radii)
+    if c_min > scale:
         label = "sticky"
-    elif c_min < -tol:
+    elif c_min < -scale:
         label = "nonsticky"
     else:
         label = "boundary"
@@ -150,7 +154,8 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     + t D_1 with D_1 = -pull_y, so where D_1 < 0 it reaches zero at
     t = D_0+ / (D_0+ - D_1); the threshold is the smallest such t, or 1.  It
     lies at a breakpoint or at a critical angle from `touching_angles`, and
-    every candidate is scored with exact derivatives."""
+    every candidate is scored with exact derivatives. mu counts as
+    nonsticky when c_min < -tol (w @ radii)."""
     if isinstance(sp, OpenBook):
         # the mixture's mean stays on the spine iff its marginal's stays at the apex
         sp, mu = sp.spider, spider_marginal(sp, mu)
@@ -166,7 +171,7 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     mu_row[[points.index(z) for z in mu.points()]] = mu.weights()
     y_row[points.index(y)] = 1.0
     argmin, c_min = min_derivative(system, mu_row)
-    if c_min < -tol:
+    if c_min < -tol * float(mu_row @ system.radii):
         return 0.0
     # mu's own argmin: a boundary mu touches zero there at t = 0, where the
     # quadratic's root can round below 0

@@ -2,9 +2,10 @@
 f-divergences between finitely supported measures."""
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .spaces import (
     point,
 )
 
-EXACT_LP_LIMIT = 64
+EXACT_LP_LIMIT = 128
 
 
 class NumericalError(RuntimeError):
@@ -175,10 +176,10 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
     """q-th Wasserstein distance by solving the transportation LP with costs
-    d^q. Up to 64x64 atoms the value is exact: a float transportation simplex
-    in numpy finds a start basis, which is certified (and pivoted on if need
-    be) in rational arithmetic, see `_exact_transport`. Beyond, HiGHS solves
-    it in floats without presolve, checked by its duality gap. Raises
+    d^q. Up to 128x128 atoms the value is exact: a float transportation
+    simplex in numpy finds a start basis, which is certified (and pivoted on
+    if need be) in integer arithmetic, see `_exact_transport`. Beyond, HiGHS
+    solves it in floats without presolve, checked by its duality gap. Raises
     `NumericalError` when a cost d^q overflows, or when the largest one falls
     below the smallest normal float: at such an order the float costs no
     longer tell the distances apart."""
@@ -210,126 +211,157 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
     """Optimal total cost of the transportation LP in exact rational
     arithmetic.
 
-    `_float_start` finds a near-optimal spanning-tree basis with the
-    transportation simplex in floats. Its flows and reduced costs are then
-    computed in `Fraction`s. If both are nonnegative the basis is optimal as
-    given. If only some reduced cost is negative, the Bland's-rule simplex
-    pivots on from that basis. If the tree's flows are infeasible, the
-    simplex starts from the northwest corner. The optimal value of the
-    rational LP is unique, so the start changes the time taken, not the
-    result. Certifying a float basis exactly follows Applegate, Cook, Dash and
-    Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
-    Lett. 2007)."""
-    a, b, cost = _rational_problem(a_weights, b_weights, cost_rows)
-    start = _tree_flows(a, b, _float_start(a_weights, b_weights, cost_rows))
-    if start is None:
-        start = _northwest_corner(a, b)
-    return _transport_simplex(cost, start)
+    Every float is a dyadic rational, so the LP is solved in integers: each
+    cost is C = cost 2^K, and the supplies and the rescaled demands share
+    one denominator D (`_integer_margins`). `_float_start` finds a
+    near-optimal spanning-tree basis with the transportation simplex in
+    floats. Its flows, by leaf elimination, and its potentials are exact
+    integers, and `_exact_simplex` certifies the basis, or pivots on from it
+    until it can. If the tree's flows are infeasible, the exact simplex
+    starts from the northwest corner. The optimal value of the rational LP
+    is unique, so the start changes the time taken, not the result; it is
+    sum(F C) / (D 2^K). Certifying a float basis exactly follows Applegate,
+    Cook, Dash and Espinoza, "Exact solutions to linear programming
+    problems" (Oper. Res. Lett. 2007)."""
+    costs = _DyadicCosts(cost_rows)
+    supply, demand, denom = _integer_margins(a_weights, b_weights)
+    flow = _tree_flows(supply, demand,
+                       _float_start(a_weights, b_weights, costs.scaled))
+    if flow is None:
+        flow = _northwest_corner(supply, demand)
+    return Fraction(_exact_simplex(costs, flow), denom << costs.shift)
 
 
 # float pivots per row and column before `_float_start` hands its basis on
 START_PIVOTS = 20
+# float reduced costs below this fraction of |c| + |u| + |v| may be negative
+# in exact arithmetic: rounding the potentials and pricing in floats errs by
+# at most 4 2^-53 < 5e-16 of that sum
+SCREEN_MARGIN = 1e-14
 
 
-def _float_start(a_weights, b_weights, cost_rows) -> list[tuple[int, int]]:
+class _DyadicCosts:
+    """An m x n cost matrix three ways: `scaled`, the floats times 2^-top,
+    which brings the largest to [0.5, 1) so that no potential overflows,
+    for pricing; the integers C = cost 2^`shift`, per cell from `exact`;
+    and `low`, those integers modulo 2^64. An integer potential or reduced
+    cost x is x 2^-(shift + top) in the units of `scaled`, and is exact in
+    int64 arithmetic modulo 2^64 while that is below `wrap_limit`."""
+
+    def __init__(self, cost_rows):
+        cost = np.asarray(cost_rows, dtype=float)
+        mant, exp = np.frexp(cost)  # cost = mant 2^exp, 0.5 <= |mant| < 1
+        nonzero = cost != 0.0
+        top = int(exp[nonzero].max(initial=0))
+        self.scaled = np.ldexp(cost, -top)
+        # cost = M 2^(exp - 53) with the integer M = mant 2^53
+        self.shift = int((53 - exp[nonzero]).max(initial=0))
+        self._units = self.shift + top
+        self.wrap_limit = 2.0 ** (62 - self._units)
+        self._mant = (mant * 2.0 ** 53).astype(np.int64).ravel()
+        self._left = np.where(nonzero, exp + self.shift - 53, 0).ravel()
+        self.low = self._mant.astype(np.uint64) \
+            << np.minimum(self._left, 63).astype(np.uint64)
+        self.low[self._left >= 64] = 0
+
+    def exact(self, flat: np.ndarray) -> np.ndarray:
+        """The integer costs C of the cells with these row-major indices,
+        as an object array of Python integers."""
+        return self._mant[flat].astype(object) << self._left[flat].astype(object)
+
+    def approx(self, pot: np.ndarray) -> np.ndarray:
+        """Integer potentials (an object array) as floats in the units of
+        `scaled`, each correctly rounded but for subnormal rounding."""
+        try:
+            return np.ldexp(pot.astype(float), -self._units)
+        except OverflowError:  # beyond the float range before scaling
+            return (pot / (1 << self._units)).astype(float)
+
+
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers N_k and one exponent K with values[k] = N_k / 2^K."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+
+
+def _integer_margins(a_weights, b_weights) -> tuple[list[int], list[int], int]:
+    """Supplies, demands and their common denominator D: a_i = supply_i / D,
+    and b_j rescaled to the total supply, b_j sum(a) / sum(b), is
+    demand_j / D. Float weights rarely sum to the same rational; the
+    rescaling, of order 1e-16, keeps the LP feasible without moving the
+    optimum beyond that scale."""
+    a, ka = _dyadic(a_weights)
+    b, _ = _dyadic(b_weights)
+    ta, tb = sum(a), sum(b)
+    return [x * tb for x in a], [y * ta for y in b], tb << ka
+
+
+def _float_start(a_weights, b_weights, cost) -> list[tuple[int, int]]:
     """Spanning tree of a transportation basis by the MODI method in floats:
     a matrix-minimum allocation, then Dantzig-rule pivots (the most negative
     reduced cost enters) until no reduced cost is below a rounding tolerance
     or START_PIVOTS * (m + n) pivots are spent. Floats only choose the tree;
     `_exact_transport` certifies it."""
-    cost = np.asarray(cost_rows, dtype=float)
+    cost = np.asarray(cost, dtype=float)
     m, n = cost.shape
-    c = cost.tolist()
-    a = [float(w) for w in a_weights]
-    scale = math.fsum(a) / math.fsum(float(w) for w in b_weights)
-    b = [float(w) * scale for w in b_weights]
-    # matrix minimum: each allocation empties its row or its column, so the
-    # positive cells form a forest, which `_spanning_tree` keeps whole
-    alloc = np.zeros((m, n))
-    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, n)
-        t = min(a[i], b[j])
-        if t > 0.0:
-            alloc[i, j] = t
-            a[i] -= t
-            b[j] -= t
-    flow = {cell: float(alloc[cell]) for cell in _spanning_tree(alloc)}
-    # nodes: rows 0..m-1, columns m..m+n-1; a tree edge is a basic cell
-    nbrs: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in flow:
-        nbrs[i].append(m + j)
-        nbrs[m + j].append(i)
-    tol = 1e-12 * (1.0 + float(cost.max(initial=0.0)))
+    flow = _matrix_minimum(a_weights, b_weights, cost)
+    tree = _Tree(m, n, flow)
+    pot = np.array(tree.potentials(lambda i, j: cost.item(i, j), 0.0))
+    tol = 1e-12 * float(np.abs(cost).max(initial=0.0))
+    reduced = np.empty_like(cost)
     for _ in range(START_PIVOTS * (m + n)):
-        # potentials u_i + v_j = c_ij on the tree, by a BFS from row 0
-        pot = [0.0] * (m + n)
-        parent = [-1] * (m + n)
-        depth = [0] * (m + n)
-        parent[0] = 0
-        order = [0]
-        for k in order:
-            for nb in nbrs[k]:
-                if parent[nb] < 0:
-                    parent[nb], depth[nb] = k, depth[k] + 1
-                    i, j = _cell(k, nb, m)
-                    pot[nb] = c[i][j] - pot[k]
-                    order.append(nb)
-        reduced = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        np.subtract(cost, pot[:m, None], out=reduced)
+        reduced += pot[None, m:]
         best = int(reduced.argmin())
-        if reduced.flat[best] >= -tol:
+        red = float(reduced.flat[best])
+        if red >= -tol:
             break
-        i_in, j_in = divmod(best, n)
-        # the cycle closes the tree path from column j_in to row i_in; its
-        # cells alternate -, +, - ... from the column end
-        up, down = m + j_in, i_in
-        from_col, from_row = [], []
-        while up != down:
-            if depth[up] >= depth[down]:
-                from_col.append(_cell(up, parent[up], m))
-                up = parent[up]
-            else:
-                from_row.append(_cell(down, parent[down], m))
-                down = parent[down]
-        path = from_col + from_row[::-1]
-        minus, plus = path[0::2], path[1::2]
-        leaving = min(minus, key=flow.__getitem__)
-        theta = flow[leaving]
-        for cell in minus:
-            flow[cell] -= theta
-        for cell in plus:
-            flow[cell] += theta
-        del flow[leaving]
-        flow[(i_in, j_in)] = theta
-        i_out, j_out = leaving
-        nbrs[i_out].remove(m + j_out)
-        nbrs[m + j_out].remove(i_out)
-        nbrs[i_in].append(m + j_in)
-        nbrs[m + j_in].append(i_in)
+        _, sub, delta, _ = _pivot(tree, flow, divmod(best, n), red)
+        pot[sub] += delta
     return list(flow)
 
 
-def _cell(k: int, l: int, m: int) -> tuple[int, int]:
-    """The cell of the tree edge between nodes k and l (one row, one
-    column)."""
-    return (k, l - m) if k < m else (l, k - m)
+def _matrix_minimum(a_weights, b_weights, cost) -> dict[tuple[int, int], float]:
+    """Basis {cell: flow} of the matrix-minimum rule in floats: the cheapest
+    cell whose row and column both have supply and demand left takes as
+    much as they allow (ties: row-major order). Each allocation empties its
+    row or its column, so the cells form a forest, which `_spanning_tree`
+    completes with zero flows."""
+    m, n = cost.shape
+    a = [float(w) for w in a_weights]
+    scale = math.fsum(a) / math.fsum(float(w) for w in b_weights)
+    b = [float(w) * scale for w in b_weights]
+    live_col = np.ones(n, dtype=bool)
+    # per row, its cheapest live column (first on ties) and that cost; an
+    # empty row's cost is inf
+    best_col = cost.argmin(axis=1)
+    best = cost[np.arange(m), best_col]
+    flow = {}
+    while True:
+        i = int(best.argmin())
+        if best[i] == math.inf:
+            break
+        j = int(best_col[i])
+        t = min(a[i], b[j])
+        flow[(i, j)] = t
+        a[i] -= t
+        b[j] -= t
+        if a[i] <= 0.0:
+            best[i] = math.inf
+        if b[j] <= 0.0:
+            live_col[j] = False
+            if not live_col.any():
+                break
+            stale = np.flatnonzero((best_col == j) & (best < math.inf))
+            if stale.size:
+                rows = np.where(live_col, cost[stale], math.inf)
+                best_col[stale] = rows.argmin(axis=1)
+                best[stale] = rows[np.arange(stale.size), best_col[stale]]
+    return {cell: flow.get(cell, 0.0) for cell in _spanning_tree(m, n, flow)}
 
 
-def _rational_problem(a_weights, b_weights, cost_rows):
-    """Supplies, demands and costs as `Fraction`s, with the demands rescaled
-    to the total supply."""
-    a = [Fraction(w) for w in a_weights]
-    b = [Fraction(w) for w in b_weights]
-    ta, tb = sum(a), sum(b)
-    if ta != tb:
-        # float weight vectors rarely sum to exactly the same rational; a
-        # rescaling of order 1e-16 keeps the LP feasible without moving the
-        # optimum beyond that scale
-        scale = ta / tb
-        b = [w * scale for w in b]
-    return a, b, [[Fraction(c) for c in row] for row in cost_rows]
-
-
-def _northwest_corner(a, b) -> dict[tuple[int, int], Fraction]:
+def _northwest_corner(a, b) -> dict[tuple[int, int], object]:
     """Feasible tree basis {cell: flow} by the northwest-corner rule."""
     m, n = len(a), len(b)
     flow = {}
@@ -352,12 +384,10 @@ def _northwest_corner(a, b) -> dict[tuple[int, int], Fraction]:
             j += 1
 
 
-def _spanning_tree(flows: np.ndarray) -> list[tuple[int, int]]:
+def _spanning_tree(m: int, n: int, cells) -> list[tuple[int, int]]:
     """m + n - 1 cells that form a spanning tree of the bipartite graph of
-    rows and columns. Cells are taken largest flow first, so the support of a
-    vertex stays in the tree; zero cells, in row-major order, connect what is
-    left."""
-    m, n = flows.shape
+    rows and columns: the given cells, in order, as long as they close no
+    cycle, then zero cells in row-major order to connect what is left."""
     root = list(range(m + n))  # union-find over rows 0..m-1, columns m..
 
     def find(k):
@@ -367,8 +397,7 @@ def _spanning_tree(flows: np.ndarray) -> list[tuple[int, int]]:
         return k
 
     tree = []
-    for cell in np.argsort(-flows, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, n)
+    for i, j in itertools.chain(cells, itertools.product(range(m), range(n))):
         ri, rj = find(i), find(m + j)
         if ri != rj:
             root[ri] = rj
@@ -378,7 +407,7 @@ def _spanning_tree(flows: np.ndarray) -> list[tuple[int, int]]:
     return tree
 
 
-def _tree_flows(a, b, tree) -> dict[tuple[int, int], Fraction] | None:
+def _tree_flows(a, b, tree) -> dict[tuple[int, int], object] | None:
     """The unique flows {cell: flow} of a spanning-tree basis, found by
     eliminating leaves, or None if one of them is negative."""
     m = len(a)
@@ -407,79 +436,182 @@ def _tree_flows(a, b, tree) -> dict[tuple[int, int], Fraction] | None:
     return flow
 
 
-def _transport_simplex(cost, flow) -> Fraction:
-    """Transportation simplex in exact rational arithmetic with Bland's rule
-    (anti-cycling) from the feasible tree basis `flow` ({cell: flow},
-    updated in place), returning the optimal total cost."""
-    m, n = len(cost), len(cost[0])
-    zero = Fraction(0)
-    while True:
-        by_row = defaultdict(list)
-        by_col = defaultdict(list)
-        for (i0, j0) in flow:
-            by_row[i0].append(j0)
-            by_col[j0].append(i0)
-        u: list[Fraction | None] = [None] * m
-        v: list[Fraction | None] = [None] * n
-        u[0] = zero
-        stack = [("r", 0)]
-        while stack:
-            side, k = stack.pop()
-            if side == "r":
-                for j0 in by_row[k]:
-                    if v[j0] is None:
-                        v[j0] = cost[k][j0] - u[k]
-                        stack.append(("c", j0))
+class _Tree:
+    """Spanning tree of a transportation basis, rooted at row 0. Nodes
+    0..m-1 are the rows and m..m+n-1 the columns; each edge is a basic
+    cell. Potentials are kept by the caller, one per node, with
+    C_ij = pot[i] - pot[m + j] on every tree cell, so the reduced cost of a
+    cell is C_ij - pot[i] + pot[m + j], and a constant added to the
+    potentials of a subtree keeps its own cells at reduced cost zero."""
+
+    def __init__(self, m: int, n: int, cells):
+        self.m = m
+        self.nbrs: list[list[int]] = [[] for _ in range(m + n)]
+        for i, j in cells:
+            self.nbrs[i].append(m + j)
+            self.nbrs[m + j].append(i)
+        self.parent = [-1] * (m + n)
+        self.depth = [0] * (m + n)
+        self.parent[0] = 0
+        self.order = [0]  # breadth first from the root
+        self._hang(self.order)
+
+    def _hang(self, order: list[int]) -> None:
+        """Set parent and depth below order[0], whose own are set, extending
+        `order` by the nodes reached."""
+        parent, depth, nbrs = self.parent, self.depth, self.nbrs
+        for k in order:
+            above, level = parent[k], depth[k] + 1
+            for nb in nbrs[k]:
+                if nb != above:
+                    parent[nb], depth[nb] = k, level
+                    order.append(nb)
+
+    def potentials(self, cost_of, zero) -> list:
+        """Tree potentials with pot[0] = zero, from cost_of(i, j) per cell."""
+        m, parent = self.m, self.parent
+        pot = [zero] * len(parent)
+        for k in self.order[1:]:
+            p = parent[k]
+            pot[k] = pot[p] + cost_of(k, p - m) if k < m else pot[p] - cost_of(p, k - m)
+        return pot
+
+    def cycle(self, i: int, j: int) -> tuple[list[tuple[int, int]], int]:
+        """The tree path from column j to row i, which cell (i, j) closes to
+        a cycle, and how many of its cells lie below the lowest common
+        ancestor on the column side. Along the cycle, flows change by -t,
+        +t, -t, ... from the column end."""
+        m, parent, depth = self.m, self.parent, self.depth
+        up, down = m + j, i
+        from_col, from_row = [], []
+        while up != down:
+            if depth[up] >= depth[down]:
+                k = parent[up]
+                from_col.append((k, up - m) if up >= m else (up, k - m))
+                up = k
             else:
-                for i0 in by_col[k]:
-                    if u[i0] is None:
-                        u[i0] = cost[i0][k] - v[k]
-                        stack.append(("r", i0))
-        entering = None
-        for i0 in range(m):
-            ui = u[i0]
-            for j0 in range(n):
-                if (i0, j0) in flow:
-                    continue
-                if cost[i0][j0] < ui + v[j0]:  # reduced cost c - u - v < 0
-                    entering = (i0, j0)
-                    break
-            if entering:
-                break
-        if entering is None:
-            return sum(f * cost[i0][j0] for (i0, j0), f in flow.items())
-        i_star, j_star = entering
-        parent = {("r", i_star): None}
-        queue = deque([("r", i_star)])
-        target = ("c", j_star)
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                break
-            side, k = node
-            nbrs = (("c", j0) for j0 in by_row[k]) if side == "r" \
-                else (("r", i0) for i0 in by_col[k])
-            for nxt in nbrs:
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        cells = []
-        node = target
-        while parent[node] is not None:
-            prev = parent[node]
-            cell = (node[1], prev[1]) if node[0] == "r" else (prev[1], node[1])
-            cells.append(cell)
-            node = prev
-        minus = cells[0::2]
-        plus = cells[1::2]
-        theta = min(flow[c] for c in minus)
-        leaving = min(c for c in minus if flow[c] == theta)
-        for c in minus:
-            flow[c] -= theta
-        for c in plus:
-            flow[c] += theta
-        flow[entering] = theta
-        del flow[leaving]
+                k = parent[down]
+                from_row.append((k, down - m) if down >= m else (down, k - m))
+                down = k
+        return from_col + from_row[::-1], len(from_col)
+
+    def exchange(self, entering: tuple[int, int], leaving: tuple[int, int],
+                 below: int) -> list[int]:
+        """Swap the leaving tree cell for the entering one. `below` is the
+        end of the entering cell that removing the leaving cell cuts off
+        from the root; that subtree is re-hung from it. Returns its nodes."""
+        m, nbrs = self.m, self.nbrs
+        i_out, j_out = leaving
+        nbrs[i_out].remove(m + j_out)
+        nbrs[m + j_out].remove(i_out)
+        i_in, j_in = entering
+        above = i_in if below == m + j_in else m + j_in
+        nbrs[below].append(above)
+        nbrs[above].append(below)
+        self.parent[below], self.depth[below] = above, self.depth[above] + 1
+        sub = [below]
+        self._hang(sub)
+        return sub
+
+
+def _pivot(tree: _Tree, flow: dict, entering: tuple[int, int], red):
+    """One simplex pivot on the basis {cell: flow} and its tree: the
+    entering cell, of reduced cost `red`, takes the largest flow the cycle
+    allows, and the cycle cell with the least flow (on ties the smallest)
+    leaves. Returns the leaving cell, the re-hung subtree, the shift of its
+    potentials that brings the entering cell to reduced cost zero, and the
+    flow moved."""
+    i, j = entering
+    path, on_col_side = tree.cycle(i, j)
+    minus = path[0::2]
+    flows = [flow[cell] for cell in minus]
+    theta = min(flows)
+    leaving, k = min((cell, 2 * t) for t, cell in enumerate(minus)
+                     if flows[t] == theta)
+    for cell in minus:
+        flow[cell] -= theta
+    for cell in path[1::2]:
+        flow[cell] += theta
+    del flow[leaving]
+    flow[entering] = theta
+    if k < on_col_side:  # the column end is cut off: v_j absorbs the cost
+        return leaving, tree.exchange(entering, leaving, tree.m + j), -red, theta
+    return leaving, tree.exchange(entering, leaving, i), red, theta
+
+
+def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
+    """Transportation simplex in integers from the feasible tree basis
+    `flow` ({cell: flow}, updated in place), returning sum(F C) at the
+    optimum.
+
+    The potentials are exact integers, updated per pivot on the re-hung
+    subtree only (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 11).
+    Each pass prices every cell in floats from the rounded potentials. A
+    cell's float reduced cost is within SCREEN_MARGIN (|c| + |u| + |v|) of
+    the exact one, so only the non-basic cells whose float value is within
+    two margins of the float minimum can hold the exact minimum; only they
+    are priced exactly, in int64 modulo 2^64 when their size allows, else
+    in Python integers. The most negative exact reduced cost enters; after
+    m + n degenerate pivots in a row, Bland's rule takes over until a pivot
+    moves flow (the first negative cell in row-major order enters, and the
+    smallest tied cell leaves), so the simplex cannot cycle."""
+    m, n = costs.scaled.shape
+    cells = list(flow)
+    tree = _Tree(m, n, cells)
+    flat = np.array([i * n + j for i, j in cells], dtype=np.intp)
+    exact = dict(zip(cells, costs.exact(flat).tolist()))
+    pot = np.array(tree.potentials(lambda i, j: exact[(i, j)], 0), dtype=object)
+    approx = costs.approx(pot)
+    low = np.array([p & _MASK64 for p in pot], dtype=np.uint64)
+    # with the margin's potential terms moved to the left, a cell can be
+    # exactly negative only where the float value is below `floor`; basic
+    # cells, of reduced cost zero, have floor -inf
+    floor = SCREEN_MARGIN * np.abs(costs.scaled) + 1e-300  # 1e-300: subnormals
+    floor.flat[flat] = -math.inf
+    screened = np.empty((m, n))
+    flat_screened = screened.ravel()
+    top_cost = float(np.abs(costs.scaled).max(initial=0.0))
+    degenerate = 0
+    while True:
+        slack = SCREEN_MARGIN * np.abs(approx)
+        np.subtract(costs.scaled, (approx[:m] + slack[:m])[:, None], out=screened)
+        screened += (approx[m:] - slack[m:])[None, :]
+        near = np.flatnonzero(screened < floor)
+        if near.size == 0:
+            break
+        # a near cell's exact reduced cost lies within `err` of its screened
+        # value, or up to `lift` (the slack moved to the left) above it
+        lift = 2.0 * float(slack.max())
+        err = SCREEN_MARGIN * top_cost + lift + 1e-300
+        s = flat_screened[near]
+        low_end = float(s.min())
+        if degenerate < m + n:  # only these can hold the exact minimum
+            near = near[s <= low_end + lift + 2.0 * err]
+        rows, cols = np.divmod(near, n)
+        if abs(low_end) + 2.0 * lift + 4.0 * err < costs.wrap_limit:
+            red = (costs.low[near] - low[rows] + low[m + cols]).view(np.int64)
+        else:
+            red = costs.exact(near) - pot[rows] + pot[m + cols]
+        negative = np.flatnonzero(red < 0)
+        if negative.size == 0:
+            break
+        k = int(negative[0]) if degenerate >= m + n else \
+            int(negative[np.argmin(red[negative])])
+        i, j = int(rows[k]), int(cols[k])
+        r = int(red[k])
+        exact[(i, j)] = r + pot[i] - pot[m + j]
+        leaving, sub, delta, theta = _pivot(tree, flow, (i, j), r)
+        floor[leaving] = SCREEN_MARGIN * abs(costs.scaled[leaving]) + 1e-300
+        floor[i, j] = -math.inf
+        sub = np.array(sub)
+        pot[sub] += delta
+        approx[sub] = costs.approx(pot[sub])
+        low[sub] += np.uint64(delta & _MASK64)
+        degenerate = degenerate + 1 if theta == 0 else 0
+    return sum(f * exact[cell] for cell, f in flow.items())
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def _highs_transport(a_weights, b_weights, cost_rows) -> float:

@@ -492,22 +492,36 @@ def test_c_kappa_epsilon_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-WIDE_ATOMS = [{"point": {"dir": k % 3, "r": 0.5 + k / 65.0}, "weight": 1.0 / 65.0}
-              for k in range(65)]
+def _wasserstein_call(atoms: int) -> str:
+    """A `wasserstein` run between two spider measures of this many atoms,
+    as a script that takes the config path as its argument."""
+    support = [{"point": {"dir": k % 3, "r": 0.5 + k / atoms}, "weight": 1.0 / atoms}
+               for k in range(atoms)]
+    return ("import json, sys\n"
+            "from stickygeom import cli\n"
+            f"atoms = {support!r}\n"
+            "cfg = {'space': {'kind': 'spider', 'K': 3},\n"
+            "       'measure': {'atoms': atoms},\n"
+            "       'measure2': {'atoms': atoms[1:] + atoms[:1]},\n"
+            "       'parameters': {'q': 2}}\n"
+            "json.dump(cfg, open(sys.argv[1], 'w'))\n"
+            "assert cli.main(['wasserstein', '--config', sys.argv[1],\n"
+            "                 '--out', sys.argv[1] + '.out']) == 0\n")
+
+
 SCIPY_CALLS = {
-    # the float transport band starts past 64 atoms a side
-    "wasserstein": (
-        "import json, sys\n"
-        "from stickygeom import cli\n"
-        f"atoms = {WIDE_ATOMS!r}\n"
-        "cfg = {'space': {'kind': 'spider', 'K': 3},\n"
-        "       'measure': {'atoms': atoms},\n"
-        "       'measure2': {'atoms': atoms[1:] + atoms[:1]},\n"
-        "       'parameters': {'q': 2}}\n"
-        "json.dump(cfg, open(sys.argv[1], 'w'))\n"
-        "assert cli.main(['wasserstein', '--config', sys.argv[1],\n"
-        "                 '--out', sys.argv[1] + '.out']) == 0\n"),
+    # the float transport band starts past 128 atoms a side
+    "wasserstein": _wasserstein_call(129),
 }
+
+
+def test_exact_band_wasserstein_loads_no_scipy(tmp_path):
+    """Up to 128 atoms a side the transport LP is solved exactly, without
+    HiGHS."""
+    proc = _fresh_python("-c", _wasserstein_call(128) + SCIPY_MODULES,
+                         str(tmp_path / "cfg.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("call", sorted(SCIPY_CALLS))

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts: each table script runs and prints its CSV;
 the fixture reports rerun byte for byte and parse as strict JSON, and so
-do the kernel values."""
+do the kernel values; the transport values compare, and the benchmark
+comparison applies the bounds."""
 import json
 import os
 import subprocess
@@ -90,3 +91,43 @@ def test_kernel_values_rerun_byte_identical(tmp_path):
         "scale: 0 of 1040 moved, largest move 0",
         "verdicts: 0 of 1040 flipped",
     ]
+
+
+def test_transport_values_compare(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "scripts" / "transport_values.py")
+    proc = subprocess.run([sys.executable, script, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, script, "--compare", str(tmp_path),
+                           str(tmp_path / "transport_values.npz")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1-64 atoms: 0 of 72 moved, largest move 0 relative",
+        "65-128 atoms: 0 of 72 moved, largest move 0 relative",
+    ]
+
+
+def _bench_doc(ops_per_s, rss, failed=0, exit_status=0):
+    run = {"workload": "transport", "seed": 1, "exit": exit_status, "correct": True,
+           "attempted": 100, "failed": failed,
+           "metrics": {"ops_per_s": ops_per_s, "peak_rss_mb": rss, "setup_s": 0.25}}
+    return {"git_sha": None, "runs": [run]}
+
+
+@pytest.mark.parametrize("after,verdicts,status", [
+    (_bench_doc(150.0, 54.0), ["ok", "ok", "ok", "ok"], 0),
+    (_bench_doc(70.0, 54.0), ["ok", "WORSE", "ok", "ok"], 1),
+    (_bench_doc(150.0, 110.0), ["ok", "ok", "WORSE", "ok"], 1),
+    (_bench_doc(150.0, 54.0, failed=1), ["ok", "ok", "ok", "WORSE"], 1),
+])
+def test_bench_compare_applies_the_bounds(tmp_path, after, verdicts, status):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_bench_doc(100.0, 100.0)))
+    b.write_text(json.dumps(after))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"),
+                           "--compare", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    assert [line.split()[-1] for line in proc.stdout.splitlines()] == verdicts

@@ -187,6 +187,34 @@ def test_pull_condition_graph():
     assert not ST.pull_condition(pet, single)
 
 
+def _dilated(sp, mu, s):
+    return S.measure(sp, [(S.point(sp, z.direction, z.radius * s), w)
+                          for z, w in mu.atoms])
+
+
+@pytest.mark.parametrize("log2_scale", (-40, -30, 30, 40))
+def test_certificates_are_invariant_under_dilation(log2_scale, spider3, thirds):
+    """A dilation r -> s r about the apex maps a cone onto itself and scales
+    every direction derivative by s, exactly when s is a power of two. So
+    the label, the argmin and the threshold stay bit for bit, and c_min
+    scales by s."""
+    s = 2.0 ** log2_scale
+    rep = ST.classify(spider3, _dilated(spider3, thirds, s))
+    assert (rep.label, rep.c_min) == ("sticky", s / 3)
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        sp = gen.random_cat0_space(rng) if k % 2 else gen.random_tree_graph_cone(rng)
+        mu = gen.random_measure(sp, rng)
+        y = gen.random_point(sp, rng)
+        grown = _dilated(sp, mu, s)
+        y_grown = S.point(sp, y.direction, y.radius * s)
+        a, b = ST.classify(sp, mu), ST.classify(sp, grown)
+        assert (b.label, b.argmin_direction, b.c_min) == (a.label, a.argmin_direction,
+                                                        a.c_min * s)
+        assert ST.perturbation_threshold(sp, grown, y_grown) \
+            == ST.perturbation_threshold(sp, mu, y)
+
+
 # ---------------------------------------------------------------------------
 # perturbation thresholds
 # ---------------------------------------------------------------------------

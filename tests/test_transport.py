@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import defaultdict, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,23 +126,116 @@ def _random_lp(sp, rng, order, max_atoms=24):
     return p.weights(), q.weights(), cost
 
 
+def _rational_problem(a_weights, b_weights, cost_rows):
+    """Supplies, demands and costs as `Fraction`s, with the demands rescaled
+    to the total supply."""
+    a = [Fraction(w) for w in a_weights]
+    b = [Fraction(w) for w in b_weights]
+    scale = sum(a) / sum(b)
+    return a, [w * scale for w in b], [[Fraction(c) for c in row] for row in cost_rows]
+
+
+def _bland_simplex(cost, flow) -> Fraction:
+    """Transportation simplex in `Fraction`s with Bland's rule from the
+    feasible tree basis `flow` ({cell: flow}, updated in place): every pass
+    prices every cell exactly, the first negative cell in row-major order
+    enters and the smallest tied cell leaves."""
+    m, n = len(cost), len(cost[0])
+    while True:
+        by_row = defaultdict(list)
+        by_col = defaultdict(list)
+        for (i0, j0) in flow:
+            by_row[i0].append(j0)
+            by_col[j0].append(i0)
+        u: list[Fraction | None] = [None] * m
+        v: list[Fraction | None] = [None] * n
+        u[0] = Fraction(0)
+        stack = [("r", 0)]
+        while stack:
+            side, k = stack.pop()
+            if side == "r":
+                for j0 in by_row[k]:
+                    if v[j0] is None:
+                        v[j0] = cost[k][j0] - u[k]
+                        stack.append(("c", j0))
+            else:
+                for i0 in by_col[k]:
+                    if u[i0] is None:
+                        u[i0] = cost[i0][k] - v[k]
+                        stack.append(("r", i0))
+        entering = next(((i0, j0) for i0 in range(m) for j0 in range(n)
+                         if (i0, j0) not in flow and cost[i0][j0] < u[i0] + v[j0]),
+                        None)
+        if entering is None:
+            return sum(f * cost[i0][j0] for (i0, j0), f in flow.items())
+        i_star, j_star = entering
+        parent = {("r", i_star): None}
+        queue = deque([("r", i_star)])
+        target = ("c", j_star)
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                break
+            side, k = node
+            nbrs = (("c", j0) for j0 in by_row[k]) if side == "r" \
+                else (("r", i0) for i0 in by_col[k])
+            for nxt in nbrs:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        cells = []
+        node = target
+        while parent[node] is not None:
+            prev = parent[node]
+            cell = (node[1], prev[1]) if node[0] == "r" else (prev[1], node[1])
+            cells.append(cell)
+            node = prev
+        minus = cells[0::2]
+        plus = cells[1::2]
+        theta = min(flow[c] for c in minus)
+        leaving = min(c for c in minus if flow[c] == theta)
+        for c in minus:
+            flow[c] -= theta
+        for c in plus:
+            flow[c] += theta
+        flow[entering] = theta
+        del flow[leaving]
+
+
+def _oracle_value(a_weights, b_weights, cost_rows, tree=None) -> Fraction:
+    """Optimal value of the transportation LP by the all-`Fraction` Bland
+    simplex: from the northwest corner, or from the spanning tree `tree` if
+    its flows are feasible. The start changes the time taken, not the
+    value; the flows are checked against the margins first."""
+    a, b, cost = _rational_problem(a_weights, b_weights, cost_rows)
+    flow = None if tree is None else T._tree_flows(a, b, tree)
+    if flow is None:
+        flow = T._northwest_corner(a, b)
+    rows, cols = [Fraction(0)] * len(a), [Fraction(0)] * len(b)
+    for (i, j), f in flow.items():
+        assert f >= 0
+        rows[i] += f
+        cols[j] += f
+    assert rows == a and cols == b
+    return _bland_simplex(cost, flow)
+
+
 def _northwest_value(a_weights, b_weights, cost_rows):
-    a, b, cost = T._rational_problem(a_weights, b_weights, cost_rows)
-    return T._transport_simplex(cost, T._northwest_corner(a, b))
+    return _oracle_value(a_weights, b_weights, cost_rows)
 
 
 def _record_simplex(monkeypatch):
-    """Collect the (starting, final) basis of every simplex run."""
+    """Collect the (starting, final) basis of every exact simplex run."""
     runs = []
-    simplex = T._transport_simplex
+    simplex = T._exact_simplex
 
-    def recording(cost, flow):
+    def recording(costs, flow):
         start = set(flow)
-        value = simplex(cost, flow)
+        value = simplex(costs, flow)
         runs.append((start, set(flow)))
         return value
 
-    monkeypatch.setattr(T, "_transport_simplex", recording)
+    monkeypatch.setattr(T, "_exact_simplex", recording)
     return runs
 
 
@@ -178,7 +273,7 @@ def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
     aw, bw = p.weights(), q.weights()
     cost = [[S.cone_distance(sp, x, y) for y in q.points()] for x in p.points()]
     want = _northwest_value(aw, bw, cost)
-    a, b, _ = T._rational_problem(aw, bw, cost)
+    a, b, _ = T._integer_margins(aw, bw)
     trees = _record_start(monkeypatch)
     runs = _record_simplex(monkeypatch)
     assert _exact_transport(aw, bw, cost) == want
@@ -193,8 +288,8 @@ def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatc
     cost = [[1.0, 2.0], [3.0, 1.5]]
     # the tree {(0, 0), (1, 1), (1, 0)} sends all of row 0 into column 0,
     # which needs less, so leaf elimination finds a negative flow
-    tree = T._spanning_tree(np.array([[0.7, 0.0], [0.1, 0.2]]))
-    a, b, _ = T._rational_problem(aw, bw, cost)
+    tree = [(0, 0), (1, 1), (1, 0)]
+    a, b, _ = T._integer_margins(aw, bw)
     assert T._tree_flows(a, b, tree) is None
 
     want = _northwest_value(aw, bw, cost)
@@ -206,7 +301,7 @@ def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatc
 
 def test_exact_transport_survives_highs_failure(monkeypatch):
     # with no float pivots allowed, the start stops at its matrix-minimum
-    # tree, which is not optimal here; the rational simplex pivots on from it
+    # tree, which is not optimal here; the exact simplex pivots on from it
     aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
     want = _northwest_value(aw, bw, cost)
     uncapped = set(T._float_start(aw, bw, cost))
@@ -219,21 +314,67 @@ def test_exact_transport_survives_highs_failure(monkeypatch):
     assert final != start
 
 
+def test_exact_simplex_pivots_past_a_float_tie(monkeypatch):
+    # from the start tree {(0, 0), (0, 1), (1, 1)}, row 1's potential is
+    # c11 - c01 = 1 + 2^-53, which rounds to 1; cell (1, 0) then has float
+    # reduced cost 0 but exact reduced cost -2^-53, and entering it lowers
+    # the cost by 2^-54
+    aw, bw = [0.5, 0.5], [0.5, 0.5]
+    c00, c01, c10, c11 = 0.5, 2.0 ** -53, 1.5, 1.0 + 2.0 ** -52
+    u1 = float(Fraction(c11) - Fraction(c01))
+    assert c10 - u1 - c00 >= 0.0
+    assert Fraction(c10) - (Fraction(c11) - Fraction(c01)) - Fraction(c00) < 0
+    cost = [[c00, c01], [c10, c11]]
+    tree = [(0, 0), (0, 1), (1, 1)]
+    monkeypatch.setattr(T, "_float_start", lambda *args: tree)
+    runs = _record_simplex(monkeypatch)
+    want = Fraction(3, 4) + Fraction(1, 2 ** 54)
+    assert _exact_transport(aw, bw, cost) == _northwest_value(aw, bw, cost) == want
+    assert runs == [(set(tree), {(0, 1), (1, 0), (1, 1)})]
+
+
 def test_exact_band_does_not_call_highs(monkeypatch):
     def failing(a_weights, b_weights, cost_rows):
         raise AssertionError("HiGHS called in the exact band")
 
     monkeypatch.setattr(T, "_highs_transport", failing)
+    runs = _record_simplex(monkeypatch)
     rng = np.random.default_rng(59)
     for sp, sizes, order in ((S.spider(4), (64, 8), 1.0),
                              (S.kale(2.5 * PI), (24, 24), 2.0),
-                             (S.petersen_cone(), (16, 20), 2.0)):
+                             (S.petersen_cone(), (16, 20), 2.0),
+                             (S.petersen_cone(), (128, 128), 1.0)):
         p, q = (S.measure(sp, [(gen.random_point(sp, rng), w)
                                for w in rng.dirichlet(np.ones(m))]) for m in sizes)
         cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
                 for x in p.points()]
-        want = float(_northwest_value(p.weights(), q.weights(), cost))
-        assert T.wq_lp(sp, p, q, order) == max(want, 0.0) ** (1.0 / order)
+        got = T.wq_lp(sp, p, q, order)
+        # from the northwest corner the Fraction simplex takes minutes at 128
+        # atoms; its start does not change its value
+        tree = runs[-1][1] if max(sizes) > 64 else None
+        want = float(_oracle_value(p.weights(), q.weights(), cost, tree))
+        assert got == max(want, 0.0) ** (1.0 / order)
+
+
+def test_wq_lp_is_the_rational_optimum_through_128_atoms(monkeypatch):
+    """Bit for bit at 65-128 atoms, where HiGHS ran before. The oracle
+    starts from the basis the exact simplex ended on, and prices every cell
+    in `Fraction`s."""
+    runs = _record_simplex(monkeypatch)
+    rng = np.random.default_rng(67)
+    spider, kale, petersen = S.spider(4), S.kale(2.7 * PI), S.petersen_cone()
+    cases = [(sp, order, True) for sp in (spider, kale, petersen)
+             for order in (1.0, 2.0, 3.0)]
+    cases.append((spider, 1.0, False))  # apex-free: cost ties across legs
+    for sp, order, allow_apex in cases:
+        p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=allow_apex), w)
+                               for w in rng.dirichlet(np.ones(m))])
+                for m in rng.integers(65, 129, size=2))
+        got = T.wq_lp(sp, p, q, order)
+        cost = [[d ** order for d in row]
+                for row in S.cone_distances(sp, p.points(), q.points()).tolist()]
+        want = _oracle_value(p.weights(), q.weights(), cost, runs[-1][1])
+        assert got == max(float(want), 0.0) ** (1.0 / order)
 
 
 def test_float_band_matches_exact_transport():
@@ -242,8 +383,8 @@ def test_float_band_matches_exact_transport():
         sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
               S.petersen_cone())[k % 3]
         order = (1.0, 2.0)[k // 3]
-        p, q = (S.measure(sp, [(gen.random_point(sp, rng), w) for w in
-                               rng.dirichlet(np.ones(int(rng.integers(72, 97))))])
+        p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w) for w in
+                               rng.dirichlet(np.ones(int(rng.integers(129, 161))))])
                 for _ in range(2))
         aw, bw = p.weights(), q.weights()
         assert min(len(aw), len(bw)) > T.EXACT_LP_LIMIT
@@ -271,7 +412,7 @@ def test_float_band_is_optimal_on_cubic_spider_costs():
 
 def test_large_instance_uses_highs(spider3):
     rng = np.random.default_rng(23)
-    w = rng.dirichlet(np.ones(70))
+    w = rng.dirichlet(np.ones(140))
     p = S.measure(spider3, [((int(rng.integers(0, 3)), float(rng.uniform(0.1, 2))), wi)
                             for wi in w])
     q = gen.random_measure(spider3, rng, max_atoms=5)

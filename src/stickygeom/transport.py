@@ -238,6 +238,7 @@ START_PIVOTS = 20
 # in exact arithmetic: rounding the potentials and pricing in floats errs by
 # at most 4 2^-53 < 5e-16 of that sum
 SCREEN_MARGIN = 1e-14
+_MASK64 = (1 << 64) - 1
 
 
 class _DyadicCosts:
@@ -569,7 +570,6 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
     floor = SCREEN_MARGIN * np.abs(costs.scaled) + 1e-300  # 1e-300: subnormals
     floor.flat[flat] = -math.inf
     screened = np.empty((m, n))
-    flat_screened = screened.ravel()
     top_cost = float(np.abs(costs.scaled).max(initial=0.0))
     degenerate = 0
     while True:
@@ -583,7 +583,7 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
         # value, or up to `lift` (the slack moved to the left) above it
         lift = 2.0 * float(slack.max())
         err = SCREEN_MARGIN * top_cost + lift + 1e-300
-        s = flat_screened[near]
+        s = screened.ravel()[near]
         low_end = float(s.min())
         if degenerate < m + n:  # only these can hold the exact minimum
             near = near[s <= low_end + lift + 2.0 * err]
@@ -598,9 +598,7 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
         k = int(negative[0]) if degenerate >= m + n else \
             int(negative[np.argmin(red[negative])])
         i, j = int(rows[k]), int(cols[k])
-        r = int(red[k])
-        exact[(i, j)] = r + pot[i] - pot[m + j]
-        leaving, sub, delta, theta = _pivot(tree, flow, (i, j), r)
+        leaving, sub, delta, theta = _pivot(tree, flow, (i, j), int(red[k]))
         floor[leaving] = SCREEN_MARGIN * abs(costs.scaled[leaving]) + 1e-300
         floor[i, j] = -math.inf
         sub = np.array(sub)
@@ -608,10 +606,9 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
         approx[sub] = costs.approx(pot[sub])
         low[sub] += np.uint64(delta & _MASK64)
         degenerate = degenerate + 1 if theta == 0 else 0
-    return sum(f * exact[cell] for cell, f in flow.items())
-
-
-_MASK64 = (1 << 64) - 1
+    cells = list(flow)
+    cost = costs.exact(np.array([i * n + j for i, j in cells], dtype=np.intp))
+    return sum(flow[cell] * c for cell, c in zip(cells, cost))
 
 
 def _highs_transport(a_weights, b_weights, cost_rows) -> float:

@@ -220,10 +220,6 @@ def _oracle_value(a_weights, b_weights, cost_rows, tree=None) -> Fraction:
     return _bland_simplex(cost, flow)
 
 
-def _northwest_value(a_weights, b_weights, cost_rows):
-    return _oracle_value(a_weights, b_weights, cost_rows)
-
-
 def _record_simplex(monkeypatch):
     """Collect the (starting, final) basis of every exact simplex run."""
     runs = []
@@ -245,7 +241,7 @@ def test_exact_transport_matches_northwest_simplex():
         sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
               S.petersen_cone())[k % 3]
         aw, bw, cost = _random_lp(sp, rng, (1.0, 2.0)[k // 3 % 2])
-        assert _exact_transport(aw, bw, cost) == _northwest_value(aw, bw, cost)
+        assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost)
 
 
 def _record_start(monkeypatch):
@@ -272,7 +268,7 @@ def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
                            for w in rng.dirichlet(np.ones(8))]) for _ in range(2))
     aw, bw = p.weights(), q.weights()
     cost = [[S.cone_distance(sp, x, y) for y in q.points()] for x in p.points()]
-    want = _northwest_value(aw, bw, cost)
+    want = _oracle_value(aw, bw, cost)
     a, b, _ = T._integer_margins(aw, bw)
     trees = _record_start(monkeypatch)
     runs = _record_simplex(monkeypatch)
@@ -292,7 +288,7 @@ def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatc
     a, b, _ = T._integer_margins(aw, bw)
     assert T._tree_flows(a, b, tree) is None
 
-    want = _northwest_value(aw, bw, cost)
+    want = _oracle_value(aw, bw, cost)
     monkeypatch.setattr(T, "_float_start", lambda *args: tree)
     runs = _record_simplex(monkeypatch)
     assert _exact_transport(aw, bw, cost) == want
@@ -303,7 +299,7 @@ def test_exact_transport_survives_highs_failure(monkeypatch):
     # with no float pivots allowed, the start stops at its matrix-minimum
     # tree, which is not optimal here; the exact simplex pivots on from it
     aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
-    want = _northwest_value(aw, bw, cost)
+    want = _oracle_value(aw, bw, cost)
     uncapped = set(T._float_start(aw, bw, cost))
     monkeypatch.setattr(T, "START_PIVOTS", 0)
     trees = _record_start(monkeypatch)
@@ -317,20 +313,34 @@ def test_exact_transport_survives_highs_failure(monkeypatch):
 def test_exact_simplex_pivots_past_a_float_tie(monkeypatch):
     # from the start tree {(0, 0), (0, 1), (1, 1)}, row 1's potential is
     # c11 - c01 = 1 + 2^-53, which rounds to 1; cell (1, 0) then has float
-    # reduced cost 0 but exact reduced cost -2^-53, and entering it lowers
-    # the cost by 2^-54
+    # reduced cost +2^-54 but exact reduced cost -2^-54, and entering it
+    # lowers the cost by 2^-55
     aw, bw = [0.5, 0.5], [0.5, 0.5]
-    c00, c01, c10, c11 = 0.5, 2.0 ** -53, 1.5, 1.0 + 2.0 ** -52
+    c00, c01, c10, c11 = 3 * 2.0 ** -54, 2.0 ** -53, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52
     u1 = float(Fraction(c11) - Fraction(c01))
-    assert c10 - u1 - c00 >= 0.0
+    assert c10 - u1 - c00 > 0.0
     assert Fraction(c10) - (Fraction(c11) - Fraction(c01)) - Fraction(c00) < 0
     cost = [[c00, c01], [c10, c11]]
     tree = [(0, 0), (0, 1), (1, 1)]
     monkeypatch.setattr(T, "_float_start", lambda *args: tree)
     runs = _record_simplex(monkeypatch)
-    want = Fraction(3, 4) + Fraction(1, 2 ** 54)
-    assert _exact_transport(aw, bw, cost) == _northwest_value(aw, bw, cost) == want
+    want = Fraction(1, 2) + Fraction(3, 2 ** 54)
+    assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost) == want
     assert runs == [(set(tree), {(0, 1), (1, 0), (1, 1)})]
+
+
+def test_exact_transport_across_the_float_range():
+    # costs from subnormal to near the largest float: the potentials leave
+    # int64 (exact pricing falls back to Python integers) and, past 2^1024
+    # units, the float range (their rounding falls back to integer division)
+    rng = np.random.default_rng(71)
+    for k in range(12):
+        m, n = (int(x) for x in rng.integers(2, 9, size=2))
+        exponent = rng.integers(-320, 1, size=(m, n)) if k % 2 else \
+            rng.integers(0, 308, size=(m, n))
+        cost = (rng.uniform(0.1, 1.0, size=(m, n)) * 10.0 ** exponent).tolist()
+        aw, bw = rng.dirichlet(np.ones(m)).tolist(), rng.dirichlet(np.ones(n)).tolist()
+        assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost)
 
 
 def test_exact_band_does_not_call_highs(monkeypatch):

@@ -2,13 +2,13 @@
 """Run the benchmark once per workload and seed, and record the results in
 the repository's next BENCH_<n>.json; or compare two such files.
 
-Usage: python scripts/bench.py [--seeds 1 2 3] [--workloads certify ...]
-                               [--seconds 12] [--out FILE]
+Usage: python scripts/bench.py [--seeds 1 2 3]
        python scripts/bench.py --compare A B
 
 Before anything is timed, `compileall` writes the bytecode of `src`, so
 that every child process imports the package from the same cache state.
-Each run is one `benchmark/run.py --workload W --seed S` process; the file
+Each run is one `benchmark/run.py --workload W --seed S` process, for
+every workload, at the run length BENCHMARK.json declares; the file
 holds its exit status, its result line (correct, attempted, failed and the
 end-to-end metrics), the host gauge its child reported, and for the whole
 file the git commit, whether `src` or `benchmark` differ from it, and the
@@ -17,8 +17,10 @@ Python, numpy and scipy versions.
 --compare takes the median of each end-to-end metric over the seeds of
 each workload in A and in B, and applies the bounds of BENCHMARK.json: a
 metric is WORSE when B is worse than A by more than its bound. A workload
-is also WORSE when B fails a larger share of operations, or when any of
-its runs exited nonzero. The exit status is 1 if anything is WORSE.
+is also WORSE when B fails a larger share of operations, when any of its
+runs exited nonzero, or when B lacks it or one of its metrics. The exit
+status is 1 if anything is WORSE, and 2, with nothing compared, if the two
+files were run with different seeds or run lengths.
 """
 import argparse
 import compileall
@@ -49,6 +51,10 @@ def _versions() -> dict:
     return json.loads(proc.stdout)
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def run_one(workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
@@ -75,12 +81,13 @@ def next_path() -> Path:
     return ROOT / f"BENCH_{n}.json"
 
 
-def record(workloads, seeds, seconds, out: Path) -> None:
+def record(seeds: list[int]) -> None:
     if not compileall.compile_dir(str(ROOT / "src"), quiet=1):
         sys.exit("compileall failed")
+    seconds = _benchmark()["run_seconds"]
     runs = []
     for seed in seeds:
-        for workload in workloads:
+        for workload in WORKLOADS:
             run = run_one(workload, seed, seconds)
             print(json.dumps(run), flush=True)
             runs.append(run)
@@ -89,6 +96,7 @@ def record(workloads, seeds, seconds, out: Path) -> None:
            "git_dirty": None if dirty is None else bool(dirty),
            **_versions(), "machine": platform.machine(), "seconds": seconds,
            "runs": runs}
+    out = next_path()
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 
@@ -111,17 +119,37 @@ def _medians(doc: dict) -> dict:
     return out
 
 
+def _settings(doc: dict) -> dict:
+    """What two files must share to be compared: the run length and the
+    seeds."""
+    return {"seconds": doc["seconds"],
+            "seeds": sorted({r["seed"] for r in doc["runs"]})}
+
+
 def compare(a_path: Path, b_path: Path) -> int:
-    bounds = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    a, b = (_medians(json.loads(p.read_text())) for p in (a_path, b_path))
+    bounds = _benchmark()["end_to_end"]
+    docs = [json.loads(p.read_text()) for p in (a_path, b_path)]
+    settings = [_settings(d) for d in docs]
+    if settings[0] != settings[1]:
+        print(f"not comparable: {a_path} ran {settings[0]}, {b_path} ran {settings[1]}")
+        return 2
+    a, b = (_medians(d) for d in docs)
     worse = False
     for workload in WORKLOADS:
-        if workload not in a or workload not in b:
+        if workload not in a:
+            continue
+        if workload not in b:
+            worse = True
+            print(f"{workload}: missing from {b_path} WORSE")
             continue
         sa, sb = a[workload], b[workload]
         for metric in bounds:
             name = metric["name"]
-            if name not in sa or name not in sb:
+            if name not in sa:
+                continue
+            if name not in sb:
+                worse = True
+                print(f"{workload} {name}: missing from {b_path} WORSE")
                 continue
             change = (sb[name] - sa[name]) / sa[name]
             loss = change if metric["better"] == "lower" else -change
@@ -142,14 +170,11 @@ def compare(a_path: Path, b_path: Path) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=int, default=12)
-    ap.add_argument("--out", type=Path)
     ap.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"))
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
-    record(args.workloads, args.seeds, args.seconds, args.out or next_path())
+    record(args.seeds)
     return 0
 
 

@@ -22,6 +22,8 @@ from .spaces import (
     point,
 )
 
+# the largest instance of the benchmark's `transport` workload, not a
+# measured crossover: at 256 atoms the exact solver was still the faster
 EXACT_LP_LIMIT = 128
 
 
@@ -242,12 +244,11 @@ _MASK64 = (1 << 64) - 1
 
 
 class _DyadicCosts:
-    """An m x n cost matrix three ways: `scaled`, the floats times 2^-top,
+    """An m x n cost matrix two ways: `scaled`, the floats times 2^-top,
     which brings the largest to [0.5, 1) so that no potential overflows,
-    for pricing; the integers C = cost 2^`shift`, per cell from `exact`;
-    and `low`, those integers modulo 2^64. An integer potential or reduced
-    cost x is x 2^-(shift + top) in the units of `scaled`, and is exact in
-    int64 arithmetic modulo 2^64 while that is below `wrap_limit`."""
+    for pricing; and the integers C = cost 2^`shift`, per cell from
+    `exact`. An integer potential or reduced cost x is x 2^-(shift + top)
+    in the units of `scaled`."""
 
     def __init__(self, cost_rows):
         cost = np.asarray(cost_rows, dtype=float)
@@ -258,17 +259,31 @@ class _DyadicCosts:
         # cost = M 2^(exp - 53) with the integer M = mant 2^53
         self.shift = int((53 - exp[nonzero]).max(initial=0))
         self._units = self.shift + top
-        self.wrap_limit = 2.0 ** (62 - self._units)
         self._mant = (mant * 2.0 ** 53).astype(np.int64).ravel()
         self._left = np.where(nonzero, exp + self.shift - 53, 0).ravel()
-        self.low = self._mant.astype(np.uint64) \
-            << np.minimum(self._left, 63).astype(np.uint64)
-        self.low[self._left >= 64] = 0
+        # a shift of 64 or more does not fit int64 arithmetic
+        self._wide = int(self._left.max(initial=0)) >= 64
 
     def exact(self, flat: np.ndarray) -> np.ndarray:
         """The integer costs C of the cells with these row-major indices,
         as an object array of Python integers."""
         return self._mant[flat].astype(object) << self._left[flat].astype(object)
+
+    def reduced(self, flat: np.ndarray, pot: np.ndarray, bound: float) -> np.ndarray:
+        """Exact reduced costs C_ij - pot[i] + pot[m + j] of the cells with
+        these row-major indices, from the integer potentials `pot` (an
+        object array, rows then columns), none of them above `bound` in
+        magnitude in the units of `scaled`. While that is below 2^62
+        integer units, int64 arithmetic modulo 2^64 is exact; else they are
+        Python integers. On LPs with cost ties, where thousands of cells are
+        priced per pivot, int64 halves the solve time."""
+        m, n = self.scaled.shape
+        rows, cols = np.divmod(flat, n)
+        if self._wide or bound >= 2.0 ** (62 - self._units):
+            return self.exact(flat) - pot[rows] + pot[m + cols]
+        low = (pot & _MASK64).astype(np.uint64)
+        cost = self._mant[flat].astype(np.uint64) << self._left[flat].astype(np.uint64)
+        return (cost - low[rows] + low[m + cols]).view(np.int64)
 
     def approx(self, pot: np.ndarray) -> np.ndarray:
         """Integer potentials (an object array) as floats in the units of
@@ -551,11 +566,11 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
     cell's float reduced cost is within SCREEN_MARGIN (|c| + |u| + |v|) of
     the exact one, so only the non-basic cells whose float value is within
     two margins of the float minimum can hold the exact minimum; only they
-    are priced exactly, in int64 modulo 2^64 when their size allows, else
-    in Python integers. The most negative exact reduced cost enters; after
-    m + n degenerate pivots in a row, Bland's rule takes over until a pivot
-    moves flow (the first negative cell in row-major order enters, and the
-    smallest tied cell leaves), so the simplex cannot cycle."""
+    are priced exactly (`_DyadicCosts.reduced`). The most negative exact
+    reduced cost enters; after m + n degenerate pivots in a row, Bland's
+    rule takes over until a pivot moves flow (the first negative cell in
+    row-major order enters, and the smallest tied cell leaves), so the
+    simplex cannot cycle."""
     m, n = costs.scaled.shape
     cells = list(flow)
     tree = _Tree(m, n, cells)
@@ -563,7 +578,6 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
     exact = dict(zip(cells, costs.exact(flat).tolist()))
     pot = np.array(tree.potentials(lambda i, j: exact[(i, j)], 0), dtype=object)
     approx = costs.approx(pot)
-    low = np.array([p & _MASK64 for p in pot], dtype=np.uint64)
     # with the margin's potential terms moved to the left, a cell can be
     # exactly negative only where the float value is below `floor`; basic
     # cells, of reduced cost zero, have floor -inf
@@ -584,27 +598,22 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
         lift = 2.0 * float(slack.max())
         err = SCREEN_MARGIN * top_cost + lift + 1e-300
         s = screened.ravel()[near]
-        low_end = float(s.min())
+        lowest = float(s.min())
         if degenerate < m + n:  # only these can hold the exact minimum
-            near = near[s <= low_end + lift + 2.0 * err]
-        rows, cols = np.divmod(near, n)
-        if abs(low_end) + 2.0 * lift + 4.0 * err < costs.wrap_limit:
-            red = (costs.low[near] - low[rows] + low[m + cols]).view(np.int64)
-        else:
-            red = costs.exact(near) - pot[rows] + pot[m + cols]
+            near = near[s <= lowest + lift + 2.0 * err]
+        red = costs.reduced(near, pot, abs(lowest) + 2.0 * lift + 4.0 * err)
         negative = np.flatnonzero(red < 0)
         if negative.size == 0:
             break
         k = int(negative[0]) if degenerate >= m + n else \
             int(negative[np.argmin(red[negative])])
-        i, j = int(rows[k]), int(cols[k])
+        i, j = divmod(int(near[k]), n)
         leaving, sub, delta, theta = _pivot(tree, flow, (i, j), int(red[k]))
         floor[leaving] = SCREEN_MARGIN * abs(costs.scaled[leaving]) + 1e-300
         floor[i, j] = -math.inf
         sub = np.array(sub)
         pot[sub] += delta
         approx[sub] = costs.approx(pot[sub])
-        low[sub] += np.uint64(delta & _MASK64)
         degenerate = degenerate + 1 if theta == 0 else 0
     cells = list(flow)
     cost = costs.exact(np.array([i * n + j for i, j in cells], dtype=np.intp))

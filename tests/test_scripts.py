@@ -109,11 +109,21 @@ def test_transport_values_compare(tmp_path):
     ]
 
 
-def _bench_doc(ops_per_s, rss, failed=0, exit_status=0):
-    run = {"workload": "transport", "seed": 1, "exit": exit_status, "correct": True,
+def _bench_doc(ops_per_s, rss, failed=0, exit_status=0, workload="transport",
+               seed=1, seconds=12):
+    run = {"workload": workload, "seed": seed, "exit": exit_status, "correct": True,
            "attempted": 100, "failed": failed,
            "metrics": {"ops_per_s": ops_per_s, "peak_rss_mb": rss, "setup_s": 0.25}}
-    return {"git_sha": None, "runs": [run]}
+    return {"git_sha": None, "seconds": seconds, "runs": [run]}
+
+
+def _bench_compare(tmp_path, after):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_bench_doc(100.0, 100.0)))
+    b.write_text(json.dumps(after))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"),
+                           "--compare", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("after,verdicts,status", [
@@ -121,13 +131,17 @@ def _bench_doc(ops_per_s, rss, failed=0, exit_status=0):
     (_bench_doc(70.0, 54.0), ["ok", "WORSE", "ok", "ok"], 1),
     (_bench_doc(150.0, 110.0), ["ok", "ok", "WORSE", "ok"], 1),
     (_bench_doc(150.0, 54.0, failed=1), ["ok", "ok", "ok", "WORSE"], 1),
+    (_bench_doc(150.0, 54.0, workload="cli"), ["WORSE"], 1),
 ])
 def test_bench_compare_applies_the_bounds(tmp_path, after, verdicts, status):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(_bench_doc(100.0, 100.0)))
-    b.write_text(json.dumps(after))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"),
-                           "--compare", str(a), str(b)],
-                          capture_output=True, text=True, timeout=60)
+    proc = _bench_compare(tmp_path, after)
     assert proc.returncode == status, proc.stderr
     assert [line.split()[-1] for line in proc.stdout.splitlines()] == verdicts
+
+
+@pytest.mark.parametrize("after", [_bench_doc(150.0, 54.0, seconds=6),
+                                   _bench_doc(150.0, 54.0, seed=2)])
+def test_bench_compare_refuses_other_settings(tmp_path, after):
+    proc = _bench_compare(tmp_path, after)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("not comparable:")

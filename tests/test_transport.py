@@ -135,36 +135,50 @@ def _rational_problem(a_weights, b_weights, cost_rows):
     return a, [w * scale for w in b], [[Fraction(c) for c in row] for row in cost_rows]
 
 
+def _adjacency(basis):
+    """The columns of each row and the rows of each column in `basis`."""
+    by_row = defaultdict(list)
+    by_col = defaultdict(list)
+    for (i0, j0) in basis:
+        by_row[i0].append(j0)
+        by_col[j0].append(i0)
+    return by_row, by_col
+
+
+def _reduced_costs(cost, basis):
+    """(cell, reduced cost) of every cell off the spanning tree `basis`, in
+    row-major order, from potentials with u_0 = 0 and u_i + v_j = c_ij on
+    the tree."""
+    m, n = len(cost), len(cost[0])
+    by_row, by_col = _adjacency(basis)
+    u: list[Fraction | None] = [None] * m
+    v: list[Fraction | None] = [None] * n
+    u[0] = Fraction(0)
+    stack = [("r", 0)]
+    while stack:
+        side, k = stack.pop()
+        if side == "r":
+            for j0 in by_row[k]:
+                if v[j0] is None:
+                    v[j0] = cost[k][j0] - u[k]
+                    stack.append(("c", j0))
+        else:
+            for i0 in by_col[k]:
+                if u[i0] is None:
+                    u[i0] = cost[i0][k] - v[k]
+                    stack.append(("r", i0))
+    return (((i0, j0), cost[i0][j0] - u[i0] - v[j0])
+            for i0 in range(m) for j0 in range(n) if (i0, j0) not in basis)
+
+
 def _bland_simplex(cost, flow) -> Fraction:
     """Transportation simplex in `Fraction`s with Bland's rule from the
     feasible tree basis `flow` ({cell: flow}, updated in place): every pass
-    prices every cell exactly, the first negative cell in row-major order
+    prices the cells exactly, the first negative cell in row-major order
     enters and the smallest tied cell leaves."""
-    m, n = len(cost), len(cost[0])
     while True:
-        by_row = defaultdict(list)
-        by_col = defaultdict(list)
-        for (i0, j0) in flow:
-            by_row[i0].append(j0)
-            by_col[j0].append(i0)
-        u: list[Fraction | None] = [None] * m
-        v: list[Fraction | None] = [None] * n
-        u[0] = Fraction(0)
-        stack = [("r", 0)]
-        while stack:
-            side, k = stack.pop()
-            if side == "r":
-                for j0 in by_row[k]:
-                    if v[j0] is None:
-                        v[j0] = cost[k][j0] - u[k]
-                        stack.append(("c", j0))
-            else:
-                for i0 in by_col[k]:
-                    if u[i0] is None:
-                        u[i0] = cost[i0][k] - v[k]
-                        stack.append(("r", i0))
-        entering = next(((i0, j0) for i0 in range(m) for j0 in range(n)
-                         if (i0, j0) not in flow and cost[i0][j0] < u[i0] + v[j0]),
+        by_row, by_col = _adjacency(flow)
+        entering = next((cell for cell, red in _reduced_costs(cost, flow) if red < 0),
                         None)
         if entering is None:
             return sum(f * cost[i0][j0] for (i0, j0), f in flow.items())
@@ -329,8 +343,51 @@ def test_exact_simplex_pivots_past_a_float_tie(monkeypatch):
     assert runs == [(set(tree), {(0, 1), (1, 0), (1, 1)})]
 
 
+def test_exact_simplex_hands_degenerate_runs_to_blands_rule(monkeypatch):
+    # `_exact_simplex` counts the pivots in a row that move no flow, from the
+    # theta `_pivot` returns. Reporting theta = 0 for the first m + n + 8
+    # pivots makes them count as degenerate, as on a degenerate LP, while the
+    # flows move as they should. So pivots m + n + 1 to m + n + 9 enter by
+    # Bland's rule (the first negative cell in row-major order); pivot
+    # m + n + 9 reports its real theta, which resets the count, and from
+    # there the most negative cell enters again. The entering cells are
+    # checked against reduced costs priced in `Fraction`s from scratch.
+    rng = np.random.default_rng(3)
+    m = n = 16
+    i, j = np.indices((m, n))
+    # the northwest corner is the costliest staircase: many pivots follow
+    cost_rows = (rng.uniform(0.0, 0.3, size=(m, n))
+                 - np.abs(i / (m - 1) - j / (n - 1))).tolist()
+    aw, bw = rng.dirichlet(np.ones(m)).tolist(), rng.dirichlet(np.ones(n)).tolist()
+    cost = _rational_problem(aw, bw, cost_rows)[2]
+    bland_from, bland_to = m + n + 1, m + n + 9
+    pivots = []  # (Bland's rule due, entering, first negative, most negative)
+    pivot = T._pivot
+
+    def recording(tree, flow, entering, red):
+        priced = [(r, cell) for cell, r in _reduced_costs(cost, flow) if r < 0]
+        pivots.append((bland_from <= len(pivots) + 1 <= bland_to, entering,
+                       priced[0][1], min(priced)[1]))
+        leaving, sub, delta, theta = pivot(tree, flow, entering, red)
+        assert theta > 0
+        return leaving, sub, delta, theta if len(pivots) >= bland_to else 0
+
+    monkeypatch.setattr(T, "_pivot", recording)
+    supply, demand, denom = T._integer_margins(aw, bw)
+    costs = T._DyadicCosts(cost_rows)
+    flow = T._northwest_corner(supply, demand)
+    got = T._exact_simplex(costs, flow)
+    assert Fraction(got, denom << costs.shift) == _oracle_value(aw, bw, cost_rows)
+    assert len(pivots) > bland_to + 2
+    for bland, entering, first, most in pivots:
+        assert entering == (first if bland else most)
+    # the two rules part ways in both phases, so each choice is tested
+    assert any(first != most for bland, _, first, most in pivots if bland)
+    assert any(first != most for bland, _, first, most in pivots[bland_to:])
+
+
 def test_exact_transport_across_the_float_range():
-    # costs from subnormal to near the largest float: the potentials leave
+    # costs from subnormal to near the largest float: the reduced costs leave
     # int64 (exact pricing falls back to Python integers) and, past 2^1024
     # units, the float range (their rounding falls back to integer division)
     rng = np.random.default_rng(71)
@@ -393,8 +450,9 @@ def test_float_band_matches_exact_transport():
         sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
               S.petersen_cone())[k % 3]
         order = (1.0, 2.0)[k // 3]
-        p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w) for w in
-                               rng.dirichlet(np.ones(int(rng.integers(129, 161))))])
+        # atoms drawn at the apex merge into one, so draw well above the limit
+        p, q = (S.measure(sp, [(gen.random_point(sp, rng), w) for w in
+                               rng.dirichlet(np.ones(int(rng.integers(140, 171))))])
                 for _ in range(2))
         aw, bw = p.weights(), q.weights()
         assert min(len(aw), len(bw)) > T.EXACT_LP_LIMIT

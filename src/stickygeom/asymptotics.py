@@ -13,6 +13,8 @@ from .directions import batch_min_derivative, build_system, min_derivative
 from .spaces import Cone, Measure
 from .stickiness import exact_mean_distance_moment
 
+# relative to the first moment w @ radii, which a dilation r -> s r scales as
+# it scales every direction derivative
 MEAN_AT_APEX_TOL = 1e-10
 
 
@@ -34,8 +36,9 @@ def _require_mean_at_apex(sp: Cone, mu: Measure):
     if not isinstance(sp, Cone):
         raise ValueError("modulation and the direction CLT are defined on cones")
     system = build_system(sp, mu)
-    _, c_min = min_derivative(system, mu.weights())
-    if c_min < -MEAN_AT_APEX_TOL:
+    w = mu.weights()
+    _, c_min = min_derivative(system, w)
+    if c_min < -MEAN_AT_APEX_TOL * float(np.asarray(w) @ system.radii):
         raise ValueError(
             f"the measure's mean is off the cone point (smallest derivative "
             f"{c_min})")

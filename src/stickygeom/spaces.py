@@ -609,7 +609,7 @@ def geodesic_point(sp: Space, x: Point, y: Point, frac: float) -> Point:
     px = (1.0 - frac) * s + frac * t * math.cos(raw)
     py = frac * t * math.sin(raw)
     r = math.hypot(px, py)
-    if r <= COORD_TOL:
+    if r <= COORD_TOL * max(s, t):  # relative: invariant under dilation
         return cone_point(sp)
     psi = math.atan2(py, px)
     if psi <= 0.0:

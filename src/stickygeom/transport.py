@@ -2,7 +2,6 @@
 f-divergences between finitely supported measures."""
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections import defaultdict
@@ -178,13 +177,14 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
     """q-th Wasserstein distance by solving the transportation LP with costs
-    d^q. Up to 128x128 atoms the value is exact: a float transportation
-    simplex in numpy finds a start basis, which is certified (and pivoted on
-    if need be) in integer arithmetic, see `_exact_transport`. Beyond, HiGHS
-    solves it in floats without presolve, checked by its duality gap. Raises
-    `NumericalError` when a cost d^q overflows, or when the largest one falls
-    below the smallest normal float: at such an order the float costs no
-    longer tell the distances apart."""
+    d^q. Up to 128x128 atoms the value is exact: a transportation simplex
+    priced in numpy floats moves exact integer flows to a start basis, which
+    is certified (and pivoted on if need be) in integer arithmetic, see
+    `_exact_transport`. Beyond, HiGHS solves it in floats without presolve,
+    checked by its duality gap. Raises `NumericalError` when a cost d^q
+    overflows, or when the largest one falls below the smallest normal
+    float: at such an order the float costs no longer tell the distances
+    apart."""
     if order < 1.0:
         raise ValueError("Wasserstein order must be >= 1")
     xs, aw = p.points(), p.weights()
@@ -215,22 +215,17 @@ def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
 
     Every float is a dyadic rational, so the LP is solved in integers: each
     cost is C = cost 2^K, and the supplies and the rescaled demands share
-    one denominator D (`_integer_margins`). `_float_start` finds a
-    near-optimal spanning-tree basis with the transportation simplex in
-    floats. Its flows, by leaf elimination, and its potentials are exact
-    integers, and `_exact_simplex` certifies the basis, or pivots on from it
-    until it can. If the tree's flows are infeasible, the exact simplex
-    starts from the northwest corner. The optimal value of the rational LP
-    is unique, so the start changes the time taken, not the result; it is
-    sum(F C) / (D 2^K). Certifying a float basis exactly follows Applegate,
-    Cook, Dash and Espinoza, "Exact solutions to linear programming
-    problems" (Oper. Res. Lett. 2007)."""
+    one denominator D (`_integer_margins`). `_float_start` moves these
+    integer flows by the transportation simplex, choosing its pivots in
+    floats, so every basis it visits is exactly feasible; `_exact_simplex`
+    certifies the last one in integers, or pivots on from it until it can.
+    The optimal value of the rational LP is unique, so the start changes the
+    time taken, not the result; it is sum(F C) / (D 2^K). Certifying a
+    float basis exactly follows Applegate, Cook, Dash and Espinoza, "Exact
+    solutions to linear programming problems" (Oper. Res. Lett. 2007)."""
     costs = _DyadicCosts(cost_rows)
     supply, demand, denom = _integer_margins(a_weights, b_weights)
-    flow = _tree_flows(supply, demand,
-                       _float_start(a_weights, b_weights, costs.scaled))
-    if flow is None:
-        flow = _northwest_corner(supply, demand)
+    flow = _float_start(supply, demand, costs.scaled)
     return Fraction(_exact_simplex(costs, flow), denom << costs.shift)
 
 
@@ -306,22 +301,24 @@ def _integer_margins(a_weights, b_weights) -> tuple[list[int], list[int], int]:
     and b_j rescaled to the total supply, b_j sum(a) / sum(b), is
     demand_j / D. Float weights rarely sum to the same rational; the
     rescaling, of order 1e-16, keeps the LP feasible without moving the
-    optimum beyond that scale."""
+    optimum beyond that scale. Both simplex phases move flows of these
+    margins."""
     a, ka = _dyadic(a_weights)
     b, _ = _dyadic(b_weights)
     ta, tb = sum(a), sum(b)
     return [x * tb for x in a], [y * ta for y in b], tb << ka
 
 
-def _float_start(a_weights, b_weights, cost) -> list[tuple[int, int]]:
-    """Spanning tree of a transportation basis by the MODI method in floats:
-    a matrix-minimum allocation, then Dantzig-rule pivots (the most negative
-    reduced cost enters) until no reduced cost is below a rounding tolerance
-    or START_PIVOTS * (m + n) pivots are spent. Floats only choose the tree;
-    `_exact_transport` certifies it."""
+def _float_start(supply, demand, cost) -> dict[tuple[int, int], int]:
+    """Feasible spanning-tree basis {cell: flow} of the integer margins by
+    the MODI method: a matrix-minimum allocation, then Dantzig-rule pivots
+    (the most negative reduced cost enters) until no reduced cost is below a
+    rounding tolerance or START_PIVOTS * (m + n) pivots are spent. Floats
+    only price the cells and choose the entering one; the flows stay exact
+    integers, and `_exact_transport` certifies the basis."""
     cost = np.asarray(cost, dtype=float)
     m, n = cost.shape
-    flow = _matrix_minimum(a_weights, b_weights, cost)
+    flow = _matrix_minimum(supply, demand, cost)
     tree = _Tree(m, n, flow)
     pot = np.array(tree.potentials(lambda i, j: cost.item(i, j), 0.0))
     tol = 1e-12 * float(np.abs(cost).max(initial=0.0))
@@ -335,121 +332,45 @@ def _float_start(a_weights, b_weights, cost) -> list[tuple[int, int]]:
             break
         _, sub, delta, _ = _pivot(tree, flow, divmod(best, n), red)
         pot[sub] += delta
-    return list(flow)
+    return flow
 
 
-def _matrix_minimum(a_weights, b_weights, cost) -> dict[tuple[int, int], float]:
-    """Basis {cell: flow} of the matrix-minimum rule in floats: the cheapest
-    cell whose row and column both have supply and demand left takes as
-    much as they allow (ties: row-major order). Each allocation empties its
-    row or its column, so the cells form a forest, which `_spanning_tree`
-    completes with zero flows."""
+def _matrix_minimum(supply, demand, cost) -> dict[tuple[int, int], int]:
+    """Spanning-tree basis {cell: flow} of the matrix-minimum rule on the
+    integer margins: the cheapest cell whose row and column are both live
+    takes as much as they allow (ties: row-major order), and closes its row
+    or its column. When both empty together, only the row closes, unless it
+    is the last live row; the column then takes a zero flow later. Each
+    allocation closes exactly one line, the last one two, so the m + n - 1
+    cells form a spanning tree."""
     m, n = cost.shape
-    a = [float(w) for w in a_weights]
-    scale = math.fsum(a) / math.fsum(float(w) for w in b_weights)
-    b = [float(w) * scale for w in b_weights]
+    a, b = list(supply), list(demand)
+    rows_left = m
     live_col = np.ones(n, dtype=bool)
-    # per row, its cheapest live column (first on ties) and that cost; an
-    # empty row's cost is inf
+    # per row, its cheapest live column (first on ties) and that cost; a
+    # closed row's cost is inf
     best_col = cost.argmin(axis=1)
     best = cost[np.arange(m), best_col]
     flow = {}
     while True:
         i = int(best.argmin())
-        if best[i] == math.inf:
-            break
         j = int(best_col[i])
         t = min(a[i], b[j])
         flow[(i, j)] = t
         a[i] -= t
         b[j] -= t
-        if a[i] <= 0.0:
+        if a[i] == 0 and rows_left > 1:
             best[i] = math.inf
-        if b[j] <= 0.0:
-            live_col[j] = False
-            if not live_col.any():
-                break
-            stale = np.flatnonzero((best_col == j) & (best < math.inf))
-            if stale.size:
-                rows = np.where(live_col, cost[stale], math.inf)
-                best_col[stale] = rows.argmin(axis=1)
-                best[stale] = rows[np.arange(stale.size), best_col[stale]]
-    return {cell: flow.get(cell, 0.0) for cell in _spanning_tree(m, n, flow)}
-
-
-def _northwest_corner(a, b) -> dict[tuple[int, int], object]:
-    """Feasible tree basis {cell: flow} by the northwest-corner rule."""
-    m, n = len(a), len(b)
-    flow = {}
-    ra, rb = a[:], b[:]
-    i = j = 0
-    while True:
-        t = min(ra[i], rb[j])
-        flow[(i, j)] = t
-        ra[i] -= t
-        rb[j] -= t
-        if i == m - 1 and j == n - 1:
+            rows_left -= 1
+            continue
+        live_col[j] = False
+        if not live_col.any():
             return flow
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif ra[i] == 0:
-            i += 1
-        else:
-            j += 1
-
-
-def _spanning_tree(m: int, n: int, cells) -> list[tuple[int, int]]:
-    """m + n - 1 cells that form a spanning tree of the bipartite graph of
-    rows and columns: the given cells, in order, as long as they close no
-    cycle, then zero cells in row-major order to connect what is left."""
-    root = list(range(m + n))  # union-find over rows 0..m-1, columns m..
-
-    def find(k):
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
-
-    tree = []
-    for i, j in itertools.chain(cells, itertools.product(range(m), range(n))):
-        ri, rj = find(i), find(m + j)
-        if ri != rj:
-            root[ri] = rj
-            tree.append((i, j))
-            if len(tree) == m + n - 1:
-                break
-    return tree
-
-
-def _tree_flows(a, b, tree) -> dict[tuple[int, int], object] | None:
-    """The unique flows {cell: flow} of a spanning-tree basis, found by
-    eliminating leaves, or None if one of them is negative."""
-    m = len(a)
-    left = a + b  # supply or demand not yet routed, per row then per column
-    cells: list[set] = [set() for _ in left]
-    for i, j in tree:
-        cells[i].add((i, j))
-        cells[m + j].add((i, j))
-    leaves = [k for k, c in enumerate(cells) if len(c) == 1]
-    flow = {}
-    while leaves:
-        k = leaves.pop()
-        if not cells[k]:
-            continue  # the last node: its cell went with its neighbour
-        (i, j), = cells[k]
-        t = left[k]
-        if t < 0:
-            return None
-        flow[(i, j)] = t
-        other = m + j if k == i else i
-        left[other] -= t
-        cells[k].clear()
-        cells[other].remove((i, j))
-        if len(cells[other]) == 1:
-            leaves.append(other)
-    return flow
+        stale = np.flatnonzero((best_col == j) & (best < math.inf))
+        if stale.size:
+            rows = np.where(live_col, cost[stale], math.inf)
+            best_col[stale] = rows.argmin(axis=1)
+            best[stale] = rows[np.arange(stale.size), best_col[stale]]
 
 
 class _Tree:

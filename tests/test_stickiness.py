@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import gen
+from stickygeom import asymptotics as A
 from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom import stickiness as ST
@@ -201,6 +202,19 @@ def test_certificates_are_invariant_under_dilation(log2_scale, spider3, thirds):
     s = 2.0 ** log2_scale
     rep = ST.classify(spider3, _dilated(spider3, thirds, s))
     assert (rep.label, rep.c_min) == ("sticky", s / 3)
+    # a mean off the apex is off it at every scale, so modulation refuses it
+    off = S.measure(spider3, [((0, 2 * s), 0.6), ((1, s), 0.2), ((2, s), 0.2)])
+    assert ST.classify(spider3, off).label == "nonsticky"
+    with pytest.raises(ValueError, match="off the cone point"):
+        A.modulation(spider3, off, 4, 1.0, 100, 0, method="mc")
+    # nor does a geodesic snap to the apex at a scale-dependent radius
+    kale = S.kale(3 * PI)
+    x, y = S.point(kale, 0.0, 1.0), S.point(kale, 2.0, 1.0)
+    mid = S.geodesic_point(kale, x, y, 0.5)
+    x_s, y_s = S.point(kale, 0.0, s), S.point(kale, 2.0, s)
+    mid_s = S.geodesic_point(kale, x_s, y_s, 0.5)
+    assert (mid_s.direction, mid_s.radius) == (mid.direction, mid.radius * s)
+    assert S.cone_distance(kale, x_s, mid_s) == S.cone_distance(kale, x, mid) * s
     rng = np.random.default_rng(5)
     for k in range(60):
         sp = gen.random_cat0_space(rng) if k % 2 else gen.random_tree_graph_cone(rng)

@@ -216,15 +216,67 @@ def _bland_simplex(cost, flow) -> Fraction:
         del flow[leaving]
 
 
+def _northwest_corner(a, b) -> dict[tuple[int, int], object]:
+    """Feasible tree basis {cell: flow} by the northwest-corner rule."""
+    m, n = len(a), len(b)
+    flow = {}
+    ra, rb = a[:], b[:]
+    i = j = 0
+    while True:
+        t = min(ra[i], rb[j])
+        flow[(i, j)] = t
+        ra[i] -= t
+        rb[j] -= t
+        if i == m - 1 and j == n - 1:
+            return flow
+        if i == m - 1:
+            j += 1
+        elif j == n - 1:
+            i += 1
+        elif ra[i] == 0:
+            i += 1
+        else:
+            j += 1
+
+
+def _tree_flows(a, b, tree) -> dict[tuple[int, int], object] | None:
+    """The unique flows {cell: flow} of a spanning-tree basis, found by
+    eliminating leaves, or None if one of them is negative."""
+    m = len(a)
+    left = a + b  # supply or demand not yet routed, per row then per column
+    cells: list[set] = [set() for _ in left]
+    for i, j in tree:
+        cells[i].add((i, j))
+        cells[m + j].add((i, j))
+    leaves = [k for k, c in enumerate(cells) if len(c) == 1]
+    flow = {}
+    while leaves:
+        k = leaves.pop()
+        if not cells[k]:
+            continue  # the last node: its cell went with its neighbour
+        (i, j), = cells[k]
+        t = left[k]
+        if t < 0:
+            return None
+        flow[(i, j)] = t
+        other = m + j if k == i else i
+        left[other] -= t
+        cells[k].clear()
+        cells[other].remove((i, j))
+        if len(cells[other]) == 1:
+            leaves.append(other)
+    return flow
+
+
 def _oracle_value(a_weights, b_weights, cost_rows, tree=None) -> Fraction:
     """Optimal value of the transportation LP by the all-`Fraction` Bland
     simplex: from the northwest corner, or from the spanning tree `tree` if
     its flows are feasible. The start changes the time taken, not the
     value; the flows are checked against the margins first."""
     a, b, cost = _rational_problem(a_weights, b_weights, cost_rows)
-    flow = None if tree is None else T._tree_flows(a, b, tree)
+    flow = None if tree is None else _tree_flows(a, b, tree)
     if flow is None:
-        flow = T._northwest_corner(a, b)
+        flow = _northwest_corner(a, b)
     rows, cols = [Fraction(0)] * len(a), [Fraction(0)] * len(b)
     for (i, j), f in flow.items():
         assert f >= 0
@@ -259,14 +311,14 @@ def test_exact_transport_matches_northwest_simplex():
 
 
 def _record_start(monkeypatch):
-    """Collect every tree `_float_start` returns."""
+    """Collect the cells of every basis `_float_start` returns."""
     trees = []
     float_start = T._float_start
 
-    def recording(a_weights, b_weights, cost_rows):
-        tree = float_start(a_weights, b_weights, cost_rows)
-        trees.append(set(tree))
-        return tree
+    def recording(supply, demand, cost):
+        flow = float_start(supply, demand, cost)
+        trees.append(set(flow))
+        return flow
 
     monkeypatch.setattr(T, "_float_start", recording)
     return trees
@@ -289,24 +341,8 @@ def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
     assert _exact_transport(aw, bw, cost) == want
     (start, final), = runs
     assert start == trees[0]
-    assert start != set(T._northwest_corner(a, b))
+    assert start != set(_northwest_corner(a, b))
     assert final != start
-
-
-def test_exact_transport_infeasible_tree_starts_from_northwest_corner(monkeypatch):
-    aw, bw = [0.7, 0.3], [0.4, 0.6]
-    cost = [[1.0, 2.0], [3.0, 1.5]]
-    # the tree {(0, 0), (1, 1), (1, 0)} sends all of row 0 into column 0,
-    # which needs less, so leaf elimination finds a negative flow
-    tree = [(0, 0), (1, 1), (1, 0)]
-    a, b, _ = T._integer_margins(aw, bw)
-    assert T._tree_flows(a, b, tree) is None
-
-    want = _oracle_value(aw, bw, cost)
-    monkeypatch.setattr(T, "_float_start", lambda *args: tree)
-    runs = _record_simplex(monkeypatch)
-    assert _exact_transport(aw, bw, cost) == want
-    assert runs[0][0] == set(T._northwest_corner(a, b))
 
 
 def test_exact_transport_survives_highs_failure(monkeypatch):
@@ -314,7 +350,8 @@ def test_exact_transport_survives_highs_failure(monkeypatch):
     # tree, which is not optimal here; the exact simplex pivots on from it
     aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
     want = _oracle_value(aw, bw, cost)
-    uncapped = set(T._float_start(aw, bw, cost))
+    a, b, _ = T._integer_margins(aw, bw)
+    uncapped = set(T._float_start(a, b, T._DyadicCosts(cost).scaled))
     monkeypatch.setattr(T, "START_PIVOTS", 0)
     trees = _record_start(monkeypatch)
     runs = _record_simplex(monkeypatch)
@@ -336,7 +373,8 @@ def test_exact_simplex_pivots_past_a_float_tie(monkeypatch):
     assert Fraction(c10) - (Fraction(c11) - Fraction(c01)) - Fraction(c00) < 0
     cost = [[c00, c01], [c10, c11]]
     tree = [(0, 0), (0, 1), (1, 1)]
-    monkeypatch.setattr(T, "_float_start", lambda *args: tree)
+    monkeypatch.setattr(T, "_float_start",
+                        lambda supply, demand, cost: _tree_flows(supply, demand, tree))
     runs = _record_simplex(monkeypatch)
     want = Fraction(1, 2) + Fraction(3, 2 ** 54)
     assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost) == want
@@ -375,7 +413,7 @@ def test_exact_simplex_hands_degenerate_runs_to_blands_rule(monkeypatch):
     monkeypatch.setattr(T, "_pivot", recording)
     supply, demand, denom = T._integer_margins(aw, bw)
     costs = T._DyadicCosts(cost_rows)
-    flow = T._northwest_corner(supply, demand)
+    flow = _northwest_corner(supply, demand)
     got = T._exact_simplex(costs, flow)
     assert Fraction(got, denom << costs.shift) == _oracle_value(aw, bw, cost_rows)
     assert len(pivots) > bland_to + 2
@@ -386,10 +424,8 @@ def test_exact_simplex_hands_degenerate_runs_to_blands_rule(monkeypatch):
     assert any(first != most for bland, _, first, most in pivots[bland_to:])
 
 
-def test_exact_transport_across_the_float_range():
-    # costs from subnormal to near the largest float: the reduced costs leave
-    # int64 (exact pricing falls back to Python integers) and, past 2^1024
-    # units, the float range (their rounding falls back to integer division)
+def _float_range_lps():
+    """Weights and costs from subnormal to near the largest float."""
     rng = np.random.default_rng(71)
     for k in range(12):
         m, n = (int(x) for x in rng.integers(2, 9, size=2))
@@ -397,7 +433,65 @@ def test_exact_transport_across_the_float_range():
             rng.integers(0, 308, size=(m, n))
         cost = (rng.uniform(0.1, 1.0, size=(m, n)) * 10.0 ** exponent).tolist()
         aw, bw = rng.dirichlet(np.ones(m)).tolist(), rng.dirichlet(np.ones(n)).tolist()
+        yield aw, bw, cost
+
+
+def test_exact_transport_across_the_float_range():
+    # the reduced costs leave int64 (exact pricing falls back to Python
+    # integers) and, past 2^1024 units, the float range (their rounding
+    # falls back to integer division)
+    for aw, bw, cost in _float_range_lps():
         assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost)
+
+
+def _is_spanning_tree(m: int, n: int, cells) -> bool:
+    """Whether the cells join the m rows and n columns into one tree."""
+    root = list(range(m + n))  # union-find over rows 0..m-1, columns m..
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, j in cells:
+        ri, rj = find(i), find(m + j)
+        if ri == rj:
+            return False
+        root[ri] = rj
+    return len(cells) == m + n - 1
+
+
+def test_float_start_moves_the_integer_margins():
+    """`_float_start` returns a spanning-tree basis whose flows are
+    nonnegative Python integers with exactly the margins of
+    `_integer_margins`, on LPs with cost ties, costs across the float range
+    and equal weights, where a row and a column empty together."""
+    rng = np.random.default_rng(73)
+    lps = list(_float_range_lps())
+    for sp, order, allow_apex in ((S.spider(4), 1.0, False), (S.kale(2.7 * PI), 2.0, True),
+                                  (S.petersen_cone(), 1.0, True)):
+        for m in (8, 40, 100):
+            p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=allow_apex), w)
+                                   for w in rng.dirichlet(np.ones(m))]) for _ in range(2))
+            cost = S.cone_distances(sp, p.points(), q.points()) ** order
+            lps.append((p.weights(), q.weights(), cost.tolist()))
+    tied = [([1 / 7] * 7, [1 / 7] * 7), ([0.5, 0.5], [0.25] * 4),
+            ([0.125] * 8, [0.25] * 4)]
+    for aw, bw in tied:
+        lps.append((aw, bw, rng.uniform(0.0, 1.0, size=(len(aw), len(bw))).tolist()))
+    for k, (aw, bw, cost) in enumerate(lps):
+        supply, demand, _ = T._integer_margins(aw, bw)
+        flow = T._float_start(supply, demand, T._DyadicCosts(cost).scaled)
+        assert _is_spanning_tree(len(aw), len(bw), list(flow))
+        rows, cols = [0] * len(aw), [0] * len(bw)
+        for (i, j), f in flow.items():
+            assert type(f) is int and f >= 0
+            rows[i] += f
+            cols[j] += f
+        assert rows == supply and cols == demand
+        if k >= len(lps) - len(tied):
+            # a basis of these LPs has fewer positive flows than cells
+            assert 0 in flow.values()
 
 
 def test_exact_band_does_not_call_highs(monkeypatch):

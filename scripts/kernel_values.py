@@ -11,9 +11,11 @@ direction sets.  Each measure gives 52 rows: its weights and 51 resamples at
 n = 20, as counts / n.  OUTDIR/kernel_values.npz holds (measures x 52)
 arrays: `scalar` from `min_derivative`, `batch` from `batch_min_derivative`,
 and `scale`, the row times the radii, which the tie rule of
-`sample_sticking` reads.  --compare takes two such files (or the directories
-holding them) and prints, per array, how many values moved and the largest
-move, and how many batch verdicts batch < -TIE_TOL * scale flipped.
+`sample_sticking` reads, and `tie_tol`, the package's TIE_TOL.  --compare
+takes two such files (or the directories holding them) and prints, per
+array, how many values moved and the largest move, and how many batch
+verdicts batch < -tie_tol * scale flipped, each file by its own `tie_tol`.
+--compare needs numpy only, so it runs without the package on the path.
 """
 import argparse
 import math
@@ -23,34 +25,34 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-
-import gen  # noqa: E402
-from stickygeom import spaces as S  # noqa: E402
-from stickygeom._mc import resample_counts  # noqa: E402
-from stickygeom.directions import (TIE_TOL, batch_min_derivative,  # noqa: E402
-                                   build_system, min_derivative)
-
+TESTS = str(Path(__file__).resolve().parents[1] / "tests")
 PI = math.pi
 N = 20
 RESAMPLES = 51
 FILE = "kernel_values.npz"
-MAKERS = (
-    gen.random_tree_graph_cone,
-    lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
-    lambda rng: S.petersen_cone(),
-    lambda rng: S.kale(float(rng.uniform(0.5 * PI, 2.0 * PI))),
-    lambda rng: S.kale(float(rng.uniform(2.0 * PI, 4.0 * PI))),
-    gen.random_finite_cone,
-)
 
 
 def values(measures: int, seed: int) -> dict[str, np.ndarray]:
+    sys.path.insert(0, TESTS)
+    import gen
+    from stickygeom import spaces as S
+    from stickygeom._mc import resample_counts
+    from stickygeom.directions import (TIE_TOL, batch_min_derivative, build_system,
+                                       min_derivative)
+
+    makers = (
+        gen.random_tree_graph_cone,
+        lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+        lambda rng: S.petersen_cone(),
+        lambda rng: S.kale(float(rng.uniform(0.5 * PI, 2.0 * PI))),
+        lambda rng: S.kale(float(rng.uniform(2.0 * PI, 4.0 * PI))),
+        gen.random_finite_cone,
+    )
     rng = np.random.default_rng(seed)
     out = {name: np.empty((measures, RESAMPLES + 1))
            for name in ("scalar", "batch", "scale")}
     for k in range(measures):
-        sp = MAKERS[k % len(MAKERS)](rng)
+        sp = makers[k % len(makers)](rng)
         mu = gen.random_measure(sp, rng, max_atoms=8)
         system = build_system(sp, mu)
         w = np.asarray(mu.weights())
@@ -58,6 +60,7 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
         out["scalar"][k] = [min_derivative(system, row)[1] for row in rows]
         out["batch"][k] = batch_min_derivative(system, rows)
         out["scale"][k] = rows @ system.radii
+    out["tie_tol"] = np.array(TIE_TOL)
     return out
 
 
@@ -82,7 +85,7 @@ def compare(a: dict, b: dict) -> None:
         moved = a[name] != b[name]
         largest = float(np.abs(a[name] - b[name]).max(initial=0.0))
         print(f"{name}: {int(moved.sum())} of {moved.size} moved, largest move {largest:.3g}")
-    leaves = [v["batch"] < -TIE_TOL * v["scale"] for v in (a, b)]
+    leaves = [v["batch"] < -v["tie_tol"] * v["scale"] for v in (a, b)]
     print(f"verdicts: {int((leaves[0] != leaves[1]).sum())} of {leaves[0].size} flipped")
 
 

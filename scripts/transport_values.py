@@ -12,7 +12,8 @@ across legs, a kale of angle 2.7 pi and the Petersen cone) and the orders
 holds `atoms`, `order` and `value`, the `wq_lp` value of each pair.
 --compare takes two such files (or the directories holding them) and
 prints, per band of sizes, how many values moved and the largest move,
-relative to the value.
+relative to the value; it needs numpy only, so it runs without the package
+on the path.
 """
 import argparse
 import math
@@ -21,27 +22,26 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from kernel_values import TESTS, save
 
-import gen  # noqa: E402
-from kernel_values import save  # noqa: E402
-from stickygeom import spaces as S  # noqa: E402
-from stickygeom.transport import wq_lp  # noqa: E402
-
-SIZES = (8, 16, 24, 32, 48, 64, 72, 80, 96, 112, 120, 128)
-SPACES = ((lambda: S.spider(4), True), (lambda: S.spider(4), False),
-          (lambda: S.kale(2.7 * math.pi), True), (S.petersen_cone, True))
+SIZES = (8, 16, 24, 32, 48, 64, 72, 80, 96, 112, 120, 128, 160, 192, 256)
 ORDERS = (1.0, 2.0, 3.0)
-BANDS = ((1, 64), (65, 128))
+BANDS = ((1, 64), (65, 128), (129, 256))
 FILE = "transport_values.npz"
 
 
 def values(seed: int) -> dict[str, np.ndarray]:
+    sys.path.insert(0, TESTS)
+    import gen
+    from stickygeom import spaces as S
+    from stickygeom.transport import wq_lp
+
+    spaces = ((S.spider(4), True), (S.spider(4), False),
+              (S.kale(2.7 * math.pi), True), (S.petersen_cone(), True))
     rng = np.random.default_rng(seed)
     rows = []
     for order in ORDERS:
-        for make, allow_apex in SPACES:
-            sp = make()
+        for sp, allow_apex in spaces:
             for m in SIZES:
                 p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=allow_apex), w)
                                        for w in rng.dirichlet(np.ones(m))])

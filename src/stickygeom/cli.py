@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import asymptotics, frechet, stickiness, transport
+from . import asymptotics, frechet, spaces, stickiness, transport
 from .asymptotics import MODULATION_METHODS
 from .spaces import (
     Cone,
@@ -80,11 +80,11 @@ def _shallow_measure_errors(data, ptr: str) -> list[str]:
             errors.append(f"{ptr}/atoms/{i}/point: must be an object")
             continue
         r = pt.get("r")
-        if not _is_number(r) or r < -1e-12:
+        if not _is_number(r) or r < -spaces.COORD_TOL:
             errors.append(f"{ptr}/atoms/{i}/point/r: radius must be finite and >= 0")
         for key in ("dir", "eu"):
             errors.extend(_boolean_errors(pt.get(key), f"{ptr}/atoms/{i}/point/{key}"))
-    if not errors and abs(total - 1.0) > 1e-12:
+    if not errors and abs(total - 1.0) > spaces.WEIGHT_TOL:
         errors.append(f"{ptr}/atoms: weights must sum to 1 (got {total!r})")
     return errors
 

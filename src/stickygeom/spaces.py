@@ -382,7 +382,10 @@ def _zero_direction(ds: DirectionSpace):
 
 def point(sp: Space, direction, radius: float, euclidean=None) -> Point:
     """Build a canonical point of `sp`; radius-0 points collapse to the cone
-    point (or to the spine for open books)."""
+    point (or to the spine for open books). A radius down to -COORD_TOL is
+    read as 0. That slack is absolute, not relative to the measure's scale:
+    it checks input, not a derivative, and forgives a radius that rounding
+    left just below 0."""
     r = float(radius)
     if not math.isfinite(r):
         raise ValueError(f"radius {radius} must be finite")

@@ -21,10 +21,6 @@ from .spaces import (
     point,
 )
 
-# the largest instance of the benchmark's `transport` workload, not a
-# measured crossover: at 256 atoms the exact solver was still the faster
-EXACT_LP_LIMIT = 128
-
 
 class NumericalError(RuntimeError):
     """Raised when a numerical routine cannot certify its result."""
@@ -177,14 +173,12 @@ def w1_tree(sp: Cone, p: Measure, q: Measure) -> float:
 
 def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
     """q-th Wasserstein distance by solving the transportation LP with costs
-    d^q. Up to 128x128 atoms the value is exact: a transportation simplex
-    priced in numpy floats moves exact integer flows to a start basis, which
-    is certified (and pivoted on if need be) in integer arithmetic, see
-    `_exact_transport`. Beyond, HiGHS solves it in floats without presolve,
-    checked by its duality gap. Raises `NumericalError` when a cost d^q
-    overflows, or when the largest one falls below the smallest normal
-    float: at such an order the float costs no longer tell the distances
-    apart."""
+    d^q. The value is exact at every size: a transportation simplex priced
+    in numpy floats moves exact integer flows to a start basis, which is
+    certified (and pivoted on if need be) in integer arithmetic, see
+    `_exact_transport`. Raises `NumericalError` when a cost d^q overflows,
+    or when the largest one falls below the smallest normal float: at such
+    an order the float costs no longer tell the distances apart."""
     if order < 1.0:
         raise ValueError("Wasserstein order must be >= 1")
     xs, aw = p.points(), p.weights()
@@ -202,11 +196,7 @@ def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
         raise NumericalError(
             f"transport cost d^q underflows at order q = {order:g}: the largest "
             f"distance {top:g} to that power is below the smallest normal float")
-    if len(xs) <= EXACT_LP_LIMIT and len(ys) <= EXACT_LP_LIMIT:
-        value = float(_exact_transport(aw, bw, cost))
-    else:
-        value = _highs_transport(aw, bw, cost)
-    return max(value, 0.0) ** (1.0 / order)
+    return float(_exact_transport(aw, bw, cost)) ** (1.0 / order)
 
 
 def _exact_transport(a_weights, b_weights, cost_rows) -> Fraction:
@@ -543,7 +533,10 @@ def _exact_simplex(costs: _DyadicCosts, flow: dict) -> int:
 
 def _highs_transport(a_weights, b_weights, cost_rows) -> float:
     """Optimal total cost of the transportation LP by the HiGHS dual simplex
-    in floats, checked by its duality gap. Presolve is off: it removes
+    in floats, checked by its duality gap. No runtime path calls it. The
+    tests use it as the float reference against `_exact_transport`, and
+    `benchmark/tracer.py` looks the name up; ROADMAP item 1c frees the name
+    for deletion. Presolve is off: it removes
     nothing from a dense transportation LP and was most of the solve time.
     The feasibility tolerances are HiGHS's tightest, 1e-10: at the default
     1e-7 a reduced cost just above -1e-7 counts as optimal, and on spider

@@ -58,6 +58,21 @@ def test_validate_reports_negative_radius_with_pointer():
     assert any(e.startswith("/measure/atoms/1/point/r") for e in errors)
 
 
+def test_validate_reads_the_spaces_tolerances(monkeypatch):
+    """The radius slack and the weight-sum tolerance of the CLI's checks are
+    `spaces.COORD_TOL` and `spaces.WEIGHT_TOL`, which `spaces` itself uses."""
+    from stickygeom import spaces
+
+    atoms = {"atoms": [{"point": {"dir": 0, "r": -1e-9}, "weight": 1.0 + 1e-9}]}
+    assert cli._shallow_measure_errors(atoms, "/measure") == [
+        "/measure/atoms/0/point/r: radius must be finite and >= 0"]
+    monkeypatch.setattr(spaces, "COORD_TOL", 1e-8)
+    assert cli._shallow_measure_errors(atoms, "/measure") == [
+        f"/measure/atoms: weights must sum to 1 (got {1.0 + 1e-9!r})"]
+    monkeypatch.setattr(spaces, "WEIGHT_TOL", 1e-8)
+    assert cli._shallow_measure_errors(atoms, "/measure") == []
+
+
 def test_validate_collects_multiple_errors():
     cfg, errors = validate(json.dumps({
         "space": {"kind": "mystery"},
@@ -509,26 +524,11 @@ def _wasserstein_call(atoms: int) -> str:
             "                 '--out', sys.argv[1] + '.out']) == 0\n")
 
 
-SCIPY_CALLS = {
-    # the float transport band starts past 128 atoms a side
-    "wasserstein": _wasserstein_call(129),
-}
-
-
 def test_exact_band_wasserstein_loads_no_scipy(tmp_path):
-    """Up to 128 atoms a side the transport LP is solved exactly, without
-    HiGHS."""
-    proc = _fresh_python("-c", _wasserstein_call(128) + SCIPY_MODULES,
-                         str(tmp_path / "cfg.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-@pytest.mark.parametrize("call", sorted(SCIPY_CALLS))
-def test_scipy_commands_resolve_their_imports(tmp_path, call):
-    """The calls that still need scipy import it lazily, and the import
-    resolves in a fresh process."""
-    proc = _fresh_python("-c", SCIPY_CALLS[call] + SCIPY_MODULES,
-                         str(tmp_path / "cfg.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert "'scipy.optimize'" in proc.stdout
+    """The transport LP is solved exactly at every size, without HiGHS: at
+    128 atoms a side and past it, where HiGHS used to take over."""
+    for atoms in (128, 129):
+        proc = _fresh_python("-c", _wasserstein_call(atoms) + SCIPY_MODULES,
+                             str(tmp_path / "cfg.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -493,6 +493,8 @@ def test_float_start_moves_the_integer_margins():
 
 
 def test_exact_band_does_not_call_highs(monkeypatch):
+    """Every size is in the exact band, past 128 atoms a side too, where
+    HiGHS used to take over."""
     def failing(a_weights, b_weights, cost_rows):
         raise AssertionError("HiGHS called in the exact band")
 
@@ -502,9 +504,12 @@ def test_exact_band_does_not_call_highs(monkeypatch):
     for sp, sizes, order in ((S.spider(4), (64, 8), 1.0),
                              (S.kale(2.5 * PI), (24, 24), 2.0),
                              (S.petersen_cone(), (16, 20), 2.0),
-                             (S.petersen_cone(), (128, 128), 1.0)):
+                             (S.petersen_cone(), (128, 128), 1.0),
+                             (S.kale(2.7 * PI), (150, 140), 2.0)):
         p, q = (S.measure(sp, [(gen.random_point(sp, rng), w)
                                for w in rng.dirichlet(np.ones(m))]) for m in sizes)
+        # atoms drawn at the apex merge into one
+        assert max(sizes) <= 128 or min(p.size, q.size) > 128
         cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
                 for x in p.points()]
         got = T.wq_lp(sp, p, q, order)
@@ -542,12 +547,13 @@ def test_float_band_matches_exact_transport():
         sp = (S.spider(4), S.kale(float(rng.uniform(2 * PI, 3.5 * PI))),
               S.petersen_cone())[k % 3]
         order = (1.0, 2.0)[k // 3]
-        # atoms drawn at the apex merge into one, so draw well above the limit
+        # atoms drawn at the apex merge into one, so draw well above 128,
+        # where HiGHS used to take over
         p, q = (S.measure(sp, [(gen.random_point(sp, rng), w) for w in
                                rng.dirichlet(np.ones(int(rng.integers(140, 171))))])
                 for _ in range(2))
         aw, bw = p.weights(), q.weights()
-        assert min(len(aw), len(bw)) > T.EXACT_LP_LIMIT
+        assert min(len(aw), len(bw)) > 128
         cost = [[S.cone_distance(sp, x, y) ** order for y in q.points()]
                 for x in p.points()]
         exact = float(_exact_transport(aw, bw, cost))
@@ -570,7 +576,7 @@ def test_float_band_is_optimal_on_cubic_spider_costs():
     assert _highs_transport(aw, bw, cost) == pytest.approx(exact, rel=1e-12)
 
 
-def test_large_instance_uses_highs(spider3):
+def test_large_instance_matches_tree_closed_form(spider3):
     rng = np.random.default_rng(23)
     w = rng.dirichlet(np.ones(140))
     p = S.measure(spider3, [((int(rng.integers(0, 3)), float(rng.uniform(0.1, 2))), wi)

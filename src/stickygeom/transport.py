@@ -185,12 +185,15 @@ def wq_lp(sp: Space, p: Measure, q: Measure, order: float = 1.0) -> float:
     ys, bw = q.points(), q.weights()
     dist = cone_distances(sp, xs, ys)
     # powers by Python's float power: every cost bit reaches the exact solver,
-    # and numpy's power can round differently
-    try:
-        cost = [[c ** order for c in row] for row in dist.tolist()]
-    except OverflowError:
-        raise NumericalError(
-            f"transport cost d^q overflows at order q = {order:g}") from None
+    # and numpy's power can round differently; d^1 is d exactly
+    if order == 1.0:
+        cost = dist
+    else:
+        try:
+            cost = [[c ** order for c in row] for row in dist.tolist()]
+        except OverflowError:
+            raise NumericalError(
+                f"transport cost d^q overflows at order q = {order:g}") from None
     top = float(dist.max(initial=0.0))
     if top > 0.0 and top ** order < sys.float_info.min:
         raise NumericalError(
@@ -301,27 +304,45 @@ def _integer_margins(a_weights, b_weights) -> tuple[list[int], list[int], int]:
 
 def _float_start(supply, demand, cost) -> dict[tuple[int, int], int]:
     """Feasible spanning-tree basis {cell: flow} of the integer margins by
-    the MODI method: a matrix-minimum allocation, then Dantzig-rule pivots
-    (the most negative reduced cost enters) until no reduced cost is below a
-    rounding tolerance or START_PIVOTS * (m + n) pivots are spent. Floats
-    only price the cells and choose the entering one; the flows stay exact
-    integers, and `_exact_transport` certifies the basis."""
+    the MODI method: a matrix-minimum allocation, then pivots chosen from
+    a candidate list (Ahuja, Magnanti and Orlin, Network Flows, 1993,
+    sec. 11.5). One pricing of every cell lists each row's most negative
+    cell, most negative first; each enters in turn if its reduced cost,
+    priced again from the current potentials, is still negative, and the
+    matrix is priced again when the list is used up. The start ends when a
+    full pricing finds no reduced cost below a rounding tolerance, or when
+    START_PIVOTS * (m + n) pivots are spent. Floats only price the cells
+    and choose the entering ones; the flows stay exact integers, and
+    `_exact_transport` certifies the basis."""
     cost = np.asarray(cost, dtype=float)
     m, n = cost.shape
     flow = _matrix_minimum(supply, demand, cost)
     tree = _Tree(m, n, flow)
-    pot = np.array(tree.potentials(lambda i, j: cost.item(i, j), 0.0))
+    pot = tree.potentials(lambda i, j: cost.item(i, j), 0.0)
     tol = 1e-12 * float(np.abs(cost).max(initial=0.0))
+    budget = START_PIVOTS * (m + n)
+    rows = np.arange(m)
     reduced = np.empty_like(cost)
-    for _ in range(START_PIVOTS * (m + n)):
-        np.subtract(cost, pot[:m, None], out=reduced)
-        reduced += pot[None, m:]
-        best = int(reduced.argmin())
-        red = float(reduced.flat[best])
-        if red >= -tol:
+    while budget > 0:
+        prices = np.array(pot)
+        np.subtract(cost, prices[:m, None], out=reduced)
+        reduced += prices[None, m:]
+        cols = reduced.argmin(axis=1)
+        best = reduced[rows, cols]
+        listed = np.flatnonzero(best < -tol)
+        if listed.size == 0:
             break
-        _, sub, delta, _ = _pivot(tree, flow, divmod(best, n), red)
-        pot[sub] += delta
+        for i in listed[np.argsort(best[listed], kind="stable")].tolist():
+            j = int(cols[i])
+            red = cost.item(i, j) - pot[i] + pot[m + j]
+            if red >= -tol:
+                continue
+            _, sub, delta, _ = _pivot(tree, flow, (i, j), red)
+            for k in sub:
+                pot[k] += delta
+            budget -= 1
+            if budget == 0:
+                break
     return flow
 
 

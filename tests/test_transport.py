@@ -324,7 +324,7 @@ def _record_start(monkeypatch):
     return trees
 
 
-def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
+def test_exact_transport_pivots_from_degenerate_float_start(monkeypatch):
     # across legs a spider's W_1 cost is r + s, so the LP has many optimal
     # vertices; the tree the float start ends on here is feasible, but some
     # reduced cost is negative in exact arithmetic
@@ -345,7 +345,7 @@ def test_exact_transport_pivots_from_degenerate_highs_basis(monkeypatch):
     assert final != start
 
 
-def test_exact_transport_survives_highs_failure(monkeypatch):
+def test_exact_transport_survives_capped_float_start(monkeypatch):
     # with no float pivots allowed, the start stops at its matrix-minimum
     # tree, which is not optimal here; the exact simplex pivots on from it
     aw, bw, cost = _random_lp(S.petersen_cone(), np.random.default_rng(53), 2.0)
@@ -490,6 +490,62 @@ def test_float_start_moves_the_integer_margins():
         assert rows == supply and cols == demand
         # a basis of an LP whose margins tie has fewer positive flows than cells
         assert not tied or 0 in flow.values()
+
+
+def test_float_start_ends_on_a_full_pricing():
+    """The float start stops only when pricing every cell finds no reduced
+    cost below its tolerance, not when a candidate list runs out: on the
+    LPs above, the float potentials of the tree it returns leave no
+    non-basic cell below -1e-12 max|cost|."""
+    rng = np.random.default_rng(79)
+    lps = list(_float_range_lps())
+    for sp, order, allow_apex in ((S.spider(4), 1.0, False), (S.kale(2.7 * PI), 2.0, True),
+                                  (S.petersen_cone(), 1.0, True)):
+        for m in (8, 40, 100):
+            p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=allow_apex), w)
+                                   for w in rng.dirichlet(np.ones(m))]) for _ in range(2))
+            cost = S.cone_distances(sp, p.points(), q.points()) ** order
+            lps.append((p.weights(), q.weights(), cost.tolist()))
+    for aw, bw, cost_rows in lps:
+        supply, demand, _ = T._integer_margins(aw, bw)
+        cost = T._DyadicCosts(cost_rows).scaled
+        flow = T._float_start(supply, demand, cost)
+        m, n = cost.shape
+        pot = np.array(T._Tree(m, n, flow).potentials(lambda i, j: cost.item(i, j), 0.0))
+        reduced = cost - pot[:m, None] + pot[None, m:]
+        for cell in flow:
+            reduced[cell] = math.inf
+        assert reduced.min() >= -1e-12 * np.abs(cost).max()
+
+
+def test_float_start_pivot_budget_spans_its_batches(monkeypatch):
+    """START_PIVOTS * (m + n) caps the float pivots over all candidate
+    lists together. A list holds at most one cell per row, fewer than
+    m + n, so a start that reaches the cap has priced more than once."""
+    rng = np.random.default_rng(80)
+    sp = S.kale(2.7 * PI)
+    p, q = (S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
+                           for w in rng.dirichlet(np.ones(40))]) for _ in range(2))
+    aw, bw = p.weights(), q.weights()
+    cost = (S.cone_distances(sp, p.points(), q.points()) ** 2.0).tolist()
+    m, n = len(aw), len(bw)
+    supply, demand, _ = T._integer_margins(aw, bw)
+    pivots = []
+    pivot = T._pivot
+
+    def counting(tree, flow, entering, red):
+        pivots.append(entering)
+        return pivot(tree, flow, entering, red)
+
+    monkeypatch.setattr(T, "_pivot", counting)
+    T._float_start(supply, demand, T._DyadicCosts(cost).scaled)
+    uncapped = len(pivots)
+    monkeypatch.setattr(T, "START_PIVOTS", 1)
+    pivots.clear()
+    T._float_start(supply, demand, T._DyadicCosts(cost).scaled)
+    assert len(pivots) <= m + n < uncapped
+    runs = _record_simplex(monkeypatch)
+    assert _exact_transport(aw, bw, cost) == _oracle_value(aw, bw, cost, runs[-1][1])
 
 
 def test_exact_band_does_not_call_highs(monkeypatch):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc import count_windows, resample_counts
+from ._mc import map_chunks, resample_counts
 from .directions import batch_min_derivative, build_system, min_derivative
 from .spaces import Cone, Measure
 from .stickiness import exact_mean_distance_moment
@@ -54,8 +54,8 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
 
     method "exact" (or "auto" where tractable: spider cones, <= 4 atoms,
     n <= 400) enumerates multinomial resample counts; otherwise seeded Monte
-    Carlo over `trials` resamples, scored a window of `_mc.CHUNK`-row chunks
-    at a time, so only the `trials` distances are kept."""
+    Carlo over `trials` resamples, each worker drawing and scoring its own
+    `_mc.CHUNK`-row chunks, so only the `trials` distances are kept."""
     if method not in MODULATION_METHODS:
         raise ValueError(f"unknown modulation method {method!r}")
     if q < 1.0:
@@ -73,13 +73,12 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
         except ValueError:
             if method == "exact":
                 raise
-    windows = count_windows(mu.weights(), n, trials, seed, threads)
-    dq = np.empty(trials)
-    start = 0
-    for counts in windows:
-        minvals = batch_min_derivative(system, counts.astype(float)) / float(n)
-        dq[start:start + len(counts)] = np.maximum(0.0, -minvals) ** q
-        start += len(counts)
+
+    def distances_q(counts: np.ndarray) -> np.ndarray:
+        minvals = batch_min_derivative(system, counts) / float(n)
+        return np.maximum(0.0, -minvals) ** q
+
+    dq = np.concatenate(map_chunks(mu.weights(), n, trials, seed, threads, distances_q))
     m_hat = scale * float(dq.mean()) / denom
     se = scale * float(dq.std(ddof=1)) / math.sqrt(trials) / denom if trials > 1 else 0.0
     return ModulationEstimate(n, q, m_hat, se, denom, trials, False)

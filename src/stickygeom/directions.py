@@ -325,17 +325,18 @@ def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndar
     strictly inside; a, b and c are formed for those cells alone.  A flat
     piece has a zero column, so it never passes, and a critical angle on a
     piece end is a breakpoint, which the candidates already score.  Rows go
-    through in blocks of ROW_BLOCK, so memory stays
-    O(ROW_BLOCK * (candidates + pieces)) for any number of rows.
+    through in blocks of ROW_BLOCK, each converted to float on its own, so
+    integer rows such as resample counts need no float copy and memory
+    stays O(ROW_BLOCK * (candidates + pieces)) for any number of rows.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.asarray(coeffs)
     table = system.pieces
     P = len(table)
     ends = _end_derivatives(table)
     abc = np.stack([table.a.T, table.b.T, table.c.T])  # (3, P, m)
     best = np.empty(len(coeffs))
     for start in range(0, len(coeffs), ROW_BLOCK):
-        x = coeffs[start:start + ROW_BLOCK]
+        x = coeffs[start:start + ROW_BLOCK].astype(float, copy=False)
         d = x @ ends
         rows, cols = np.divmod(np.flatnonzero((d[:, :P] < 0.0) & (d[:, P:] > 0.0)), P)
         a, b, c = np.einsum("kj,ikj->ik", x[rows], abc[:, cols])

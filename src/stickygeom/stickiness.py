@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._mc import count_windows
+from ._mc import map_chunks
 from .directions import (TIE_TOL, batch_min_derivative, build_system,
                          min_derivative, touching_angles)
 from .frechet import book_mean_over, directional_derivative, mean_from_min_derivative
@@ -200,23 +200,23 @@ def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
                     threads: int = 1) -> SampleStickingResult:
     """Monte Carlo estimate of the probability that the mean of an n-sample
     leaves the cone point (open books: leaves the spine); deterministic given
-    the seed and independent of the thread count.  The resamples are drawn
-    and scored a window of `_mc.CHUNK`-row chunks at a time, so memory does
-    not grow with the number of trials."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    the seed and independent of the thread count.  Each worker draws and
+    scores its own `_mc.CHUNK`-row chunks, so memory does not grow with the
+    number of trials."""
     if isinstance(sp, OpenBook):
         # the mean leaves the spine iff the spider marginal's mean leaves the
         # apex; atoms that differ only off the spider merge there
         sp, mu = sp.spider, spider_marginal(sp, mu)
     system = build_system(sp, mu)
-    leaving = 0
-    for counts in count_windows(mu.weights(), n, trials, seed, threads):
+
+    def leaving_count(counts: np.ndarray) -> int:
         # a tied resample has smallest derivative zero up to rounding, and the
         # rounding grows with the radii; only a minimum below the tie
         # tolerance of the derivative's scale counts as leaving
-        minvals = batch_min_derivative(system, counts.astype(float))
-        leaving += int(np.count_nonzero(minvals < -TIE_TOL * (counts @ system.radii)))
+        minvals = batch_min_derivative(system, counts)
+        return int(np.count_nonzero(minvals < -TIE_TOL * (counts @ system.radii)))
+
+    leaving = sum(map_chunks(mu.weights(), n, trials, seed, threads, leaving_count))
     p_hat = leaving / trials
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return SampleStickingResult(n, trials, p_hat, se, seed)
@@ -265,6 +265,8 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int):
     if not (isinstance(sp, Cone) and isinstance(sp.directions, FiniteDirections)
             and sp.directions.is_spider):
         raise ValueError("exact enumeration needs a spider cone")
+    if n < 1:
+        raise ValueError("sample size must be positive")
     m = mu.size
     if m > 4:
         raise ValueError("exact enumeration supports at most 4 atoms")

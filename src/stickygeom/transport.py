@@ -556,7 +556,7 @@ def _highs_transport(a_weights, b_weights, cost_rows) -> float:
     """Optimal total cost of the transportation LP by the HiGHS dual simplex
     in floats, checked by its duality gap. No runtime path calls it. The
     tests use it as the float reference against `_exact_transport`, and
-    `benchmark/tracer.py` looks the name up; ROADMAP item 1c frees the name
+    `benchmark/tracer.py` looks the name up; ROADMAP item 1 frees the name
     for deletion. Presolve is off: it removes
     nothing from a dense transportation LP and was most of the solve time.
     The feasibility tolerances are HiGHS's tightest, 1e-10: at the default

@@ -7,6 +7,7 @@ import gen
 from stickygeom import asymptotics as A
 from stickygeom import frechet as F
 from stickygeom import spaces as S
+from stickygeom import stickiness as ST
 
 PI = math.pi
 
@@ -64,6 +65,18 @@ def test_modulation_validation(spider3, thirds):
         A.modulation(spider3, off_center, 10, 2.0, 100, 1)
     with pytest.raises(ValueError, match="order"):
         A.modulation(spider3, thirds, 10, 0.5, 100, 1)
+
+
+def test_empty_samples_are_rejected(spider3, thirds):
+    """n = 0 has no sample mean: every modulation method refuses it, and so
+    does the exact enumeration, instead of returning nan or 0."""
+    calls = [lambda m=m: A.modulation(spider3, thirds, 0, 2.0, 10, 1, method=m)
+             for m in A.MODULATION_METHODS]
+    calls += [lambda: ST.exact_nonstick_probability(spider3, thirds, 0),
+              lambda: ST.exact_mean_distance_moment(spider3, thirds, 0, 2.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="sample size must be positive"):
+            call()
 
 
 def test_modulation_checks_the_method_first(spider3, monkeypatch):

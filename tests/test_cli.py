@@ -482,6 +482,11 @@ def test_cli_import_loads_no_scipy():
     proc = _fresh_python("-c", "import stickygeom.cli; " + SCIPY_MODULES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    # the thread pool module loads only when a pool is made
+    proc = _fresh_python("-c", "import stickygeom.cli, sys; "
+                         "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_scipy_free_commands_load_no_scipy(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from stickygeom._mc import CHUNK, count_windows, resample_counts
+from stickygeom._mc import CHUNK, map_chunks, resample_counts
 from stickygeom.directions import ROW_BLOCK
 
 
@@ -22,14 +23,26 @@ def test_resample_counts_chunks_thread_independent():
     assert np.array_equal(one, resample_counts(w, 7, CHUNK + 3, seed=11, threads=2))
 
 
-def test_count_windows_split_resample_counts():
+@pytest.mark.parametrize("trials, threads", [(3 * CHUNK + 5, 1), (3 * CHUNK + 5, 2),
+                                            (3 * CHUNK + 5, 3), (CHUNK - 1, 4)],
+                         ids=["four_chunks-1", "four_chunks-2", "four_chunks-3",
+                              "one_chunk-4"])
+def test_map_chunks_reduces_each_chunk_in_order(trials, threads):
     w = [0.1, 0.2, 0.3, 0.4]
-    trials = 3 * CHUNK + 5
-    whole = resample_counts(w, 9, trials, seed=4)
-    for threads in (1, 2):
-        windows = list(count_windows(w, 9, trials, seed=4, threads=threads))
-        assert [len(c) for c in windows[:-1]] == [threads * CHUNK] * (len(windows) - 1)
-        assert np.array_equal(np.concatenate(windows), whole)
+    rows = map_chunks(w, 9, trials, 4, threads, len)
+    assert rows == [CHUNK] * (trials // CHUNK) + [trials % CHUNK]
+    chunks = map_chunks(w, 9, trials, 4, threads, lambda c: c)
+    assert np.array_equal(np.concatenate(chunks), resample_counts(w, 9, trials, seed=4))
+
+
+def test_map_chunks_validates_trials_and_n():
+    w = [0.5, 0.5]
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            map_chunks(w, 5, trials, 1, 1, len)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="sample size must be positive"):
+            map_chunks(w, n, 10, 1, 2, len)
 
 
 def test_chunks_are_whole_row_blocks():

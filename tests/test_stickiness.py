@@ -436,9 +436,11 @@ def test_sample_sticking_open_book():
     assert res.p_hat == res2.p_hat
 
 
-def test_sample_sticking_memory_does_not_grow_with_trials():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_sticking_memory_does_not_grow_with_trials(threads):
     """50 chunks of resamples of a 48-atom measure: one whole count matrix
-    would be 50 chunk matrices (79 MB), the streamed run holds a few."""
+    would be 50 chunk matrices (79 MB), the streamed run holds a few per
+    worker."""
     rng = np.random.default_rng(61)
     sp = S.kale(3.0 * PI)
     mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)
@@ -446,7 +448,7 @@ def test_sample_sticking_memory_does_not_grow_with_trials():
     chunk_bytes = CHUNK * mu.size * 8
     tracemalloc.start()
     try:
-        res = ST.sample_sticking(sp, mu, 20, 50 * CHUNK, seed=5)
+        res = ST.sample_sticking(sp, mu, 20, 50 * CHUNK, seed=5, threads=threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

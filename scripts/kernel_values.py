@@ -11,11 +11,14 @@ direction sets.  Each measure gives 52 rows: its weights and 51 resamples at
 n = 20, as counts / n.  OUTDIR/kernel_values.npz holds (measures x 52)
 arrays: `scalar` from `min_derivative`, `batch` from `batch_min_derivative`,
 and `scale`, the row times the radii, which the tie rule of
-`sample_sticking` reads, and `tie_tol`, the package's TIE_TOL.  --compare
-takes two such files (or the directories holding them) and prints, per
-array, how many values moved and the largest move, and how many batch
-verdicts batch < -tie_tol * scale flipped, each file by its own `tie_tol`.
---compare needs numpy only, so it runs without the package on the path.
+`sample_sticking` reads, and `tie_tol`, the package's TIE_TOL.  `exact`
+is (60 x 4 x 2): on 60 seeded spider measures with 1-4 atoms, the exact
+probability that the mean leaves the cone point and the exact q = 2 distance
+moment, at each n of 1, 7, 20 and 60.  --compare takes two such files (or
+the directories holding them) and prints, per array, how many values moved
+and the largest move (relative for `exact`), and how many batch verdicts
+batch < -tie_tol * scale flipped, each file by its own `tie_tol`.  --compare
+needs numpy only, so it runs without the package on the path.
 """
 import argparse
 import math
@@ -29,6 +32,8 @@ TESTS = str(Path(__file__).resolve().parents[1] / "tests")
 PI = math.pi
 N = 20
 RESAMPLES = 51
+SPIDERS = 60
+EXACT_N = (1, 7, 20, 60)
 FILE = "kernel_values.npz"
 
 
@@ -36,6 +41,7 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
     sys.path.insert(0, TESTS)
     import gen
     from stickygeom import spaces as S
+    from stickygeom import stickiness as ST
     from stickygeom._mc import resample_counts
     from stickygeom.directions import (TIE_TOL, batch_min_derivative, build_system,
                                        min_derivative)
@@ -61,6 +67,12 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
         out["batch"][k] = batch_min_derivative(system, rows)
         out["scale"][k] = rows @ system.radii
     out["tie_tol"] = np.array(TIE_TOL)
+    out["exact"] = np.empty((SPIDERS, len(EXACT_N), 2))
+    for k in range(SPIDERS):
+        sp = S.spider(int(rng.integers(2, 5)))
+        mu = gen.random_measure(sp, rng, max_atoms=4)
+        out["exact"][k] = [(ST.exact_nonstick_probability(sp, mu, n),
+                            ST.exact_mean_distance_moment(sp, mu, n, 2.0)) for n in EXACT_N]
     return out
 
 
@@ -87,6 +99,12 @@ def compare(a: dict, b: dict) -> None:
         print(f"{name}: {int(moved.sum())} of {moved.size} moved, largest move {largest:.3g}")
     leaves = [v["batch"] < -v["tie_tol"] * v["scale"] for v in (a, b)]
     print(f"verdicts: {int((leaves[0] != leaves[1]).sum())} of {leaves[0].size} flipped")
+    if "exact" in a and "exact" in b:
+        moved = a["exact"] != b["exact"]
+        pairs = np.abs([a["exact"][moved], b["exact"][moved]])
+        rel = np.abs(pairs[0] - pairs[1]) / pairs.max(axis=0)
+        print(f"exact: {int(moved.sum())} of {moved.size} moved, "
+              f"largest move {float(rel.max(initial=0.0)):.3g} relative")
 
 
 def main():

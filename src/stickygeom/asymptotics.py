@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc import map_chunks, resample_counts
-from .directions import batch_min_derivative, build_system, min_derivative
+from .directions import build_system, min_derivative, resample_distances
 from .spaces import Cone, Measure
-from .stickiness import exact_mean_distance_moment
+from .stickiness import _exact_moment
 
 # relative to the first moment w @ radii, which a dilation r -> s r scales as
 # it scales every direction derivative
@@ -55,7 +55,8 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
     method "exact" (or "auto" where tractable: spider cones, <= 4 atoms,
     n <= 400) enumerates multinomial resample counts; otherwise seeded Monte
     Carlo over `trials` resamples, each worker drawing and scoring its own
-    `_mc.CHUNK`-row chunks, so only the `trials` distances are kept."""
+    `_mc.CHUNK`-row chunks, so only the `trials` distances are kept.  Both
+    score by `resample_distances` on the one direction system built here."""
     if method not in MODULATION_METHODS:
         raise ValueError(f"unknown modulation method {method!r}")
     if q < 1.0:
@@ -67,18 +68,15 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
     scale = float(n) ** (q / 2.0)
     if method in ("auto", "exact"):
         try:
-            moment = exact_mean_distance_moment(sp, mu, n, q)
+            moment = _exact_moment(sp, mu, n, q, system)
             return ModulationEstimate(n, q, scale * moment / denom, 0.0, denom,
                                       0, True)
         except ValueError:
             if method == "exact":
                 raise
 
-    def distances_q(counts: np.ndarray) -> np.ndarray:
-        minvals = batch_min_derivative(system, counts) / float(n)
-        return np.maximum(0.0, -minvals) ** q
-
-    dq = np.concatenate(map_chunks(mu.weights(), n, trials, seed, threads, distances_q))
+    dq = np.concatenate(map_chunks(mu.weights(), n, trials, seed, threads,
+                                   lambda c: resample_distances(system, c, n) ** q))
     m_hat = scale * float(dq.mean()) / denom
     se = scale * float(dq.std(ddof=1)) / math.sqrt(trials) / denom if trials > 1 else 0.0
     return ModulationEstimate(n, q, m_hat, se, denom, trials, False)

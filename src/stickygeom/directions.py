@@ -29,7 +29,7 @@ a sin(theta) - b cos(theta) is negative at lo and positive at hi.  Those end
 derivatives are linear in the row of weights, so a table of every atom's
 part of them, built once per call, screens every piece of a block of rows
 with one matrix product; a, b, c and c - hypot(a, b) are formed only on the
-cells that pass.
+cells that pass.  `resample_distances` holds the one tie rule of resamples.
 """
 from __future__ import annotations
 
@@ -337,12 +337,25 @@ def batch_min_derivative(system: DirectionSystem, coeffs: np.ndarray) -> np.ndar
     best = np.empty(len(coeffs))
     for start in range(0, len(coeffs), ROW_BLOCK):
         x = coeffs[start:start + ROW_BLOCK].astype(float, copy=False)
-        d = x @ ends
-        rows, cols = np.divmod(np.flatnonzero((d[:, :P] < 0.0) & (d[:, P:] > 0.0)), P)
-        a, b, c = np.einsum("kj,ikj->ik", x[rows], abc[:, cols])
-        piece_min = np.full(len(x), np.inf)
-        np.minimum.at(piece_min, rows, c - np.hypot(a, b))
+        piece_min = np.inf  # a finite direction set has no pieces
+        if P:
+            d = x @ ends
+            rows, cols = np.divmod(np.flatnonzero((d[:, :P] < 0.0) & (d[:, P:] > 0.0)), P)
+            a, b, c = np.einsum("kj,ikj->ik", x[rows], abc[:, cols])
+            piece_min = np.full(len(x), np.inf)
+            np.minimum.at(piece_min, rows, c - np.hypot(a, b))
         # min over candidates of -(x . pull) == -(max of x . pull)
-        best[start:start + ROW_BLOCK] = np.minimum(-(x @ system.pulls).max(axis=1),
-                                                   piece_min)
+        best[start:start + ROW_BLOCK] = np.minimum(-(x @ system.pulls).max(axis=1), piece_min)
     return best
+
+
+def resample_distances(system: DirectionSystem, counts: np.ndarray, n: int) -> np.ndarray:
+    """Distance -min / n from the cone point of each n-sample mean, for rows
+    of resample counts; 0 unless min < -TIE_TOL (counts @ radii), as a tie's
+    rounding grows with the radii.  That scale is formed a ROW_BLOCK at a
+    time, so integer counts need no whole float copy."""
+    best = batch_min_derivative(system, counts)
+    scale = np.empty(len(best))
+    for start in range(0, len(best), ROW_BLOCK):
+        scale[start:start + ROW_BLOCK] = counts[start:start + ROW_BLOCK] @ system.radii
+    return np.where(best < -TIE_TOL * scale, -best / n, 0.0)

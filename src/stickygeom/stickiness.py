@@ -1,6 +1,6 @@
 """Sticky-flavor classification: direction-derivative certificates, folded
-moments, the pull condition, exact perturbation thresholds, and seeded
-sample-stickiness experiments with the exponential tail bound."""
+moments, the pull condition, exact perturbation thresholds, and sample
+stickiness, seeded or enumerated exactly, with the exponential tail bound."""
 from __future__ import annotations
 
 import math
@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._mc import map_chunks
-from .directions import (TIE_TOL, batch_min_derivative, build_system,
-                         min_derivative, touching_angles)
+from .directions import (DirectionSystem, build_system, min_derivative,
+                         resample_distances, touching_angles)
 from .frechet import book_mean_over, directional_derivative, mean_from_min_derivative
 from .spaces import (
     PI,
@@ -199,24 +199,17 @@ class SampleStickingResult:
 def sample_sticking(sp: Space, mu: Measure, n: int, trials: int, seed: int,
                     threads: int = 1) -> SampleStickingResult:
     """Monte Carlo estimate of the probability that the mean of an n-sample
-    leaves the cone point (open books: leaves the spine); deterministic given
-    the seed and independent of the thread count.  Each worker draws and
-    scores its own `_mc.CHUNK`-row chunks, so memory does not grow with the
-    number of trials."""
+    leaves the cone point (open books: the spine), where `resample_distances`
+    is nonzero; deterministic given the seed and independent of the thread
+    count.  Each worker draws and scores its own `_mc.CHUNK`-row chunks, so
+    memory does not grow with the number of trials."""
     if isinstance(sp, OpenBook):
         # the mean leaves the spine iff the spider marginal's mean leaves the
         # apex; atoms that differ only off the spider merge there
         sp, mu = sp.spider, spider_marginal(sp, mu)
     system = build_system(sp, mu)
-
-    def leaving_count(counts: np.ndarray) -> int:
-        # a tied resample has smallest derivative zero up to rounding, and the
-        # rounding grows with the radii; only a minimum below the tie
-        # tolerance of the derivative's scale counts as leaving
-        minvals = batch_min_derivative(system, counts)
-        return int(np.count_nonzero(minvals < -TIE_TOL * (counts @ system.radii)))
-
-    leaving = sum(map_chunks(mu.weights(), n, trials, seed, threads, leaving_count))
+    leaving = sum(map_chunks(mu.weights(), n, trials, seed, threads,
+                             lambda c: np.count_nonzero(resample_distances(system, c, n))))
     p_hat = leaving / trials
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return SampleStickingResult(n, trials, p_hat, se, seed)
@@ -239,7 +232,7 @@ def tail_bound(c_min: float, k: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact spider resampling oracle
+# exact spider resampling: every count vector, scored by resample_distances
 # ---------------------------------------------------------------------------
 
 def _count_blocks(n: int, m: int):
@@ -257,45 +250,41 @@ def _count_blocks(n: int, m: int):
         yield rows
 
 
-def _spider_enumeration(sp: Cone, mu: Measure, n: int):
-    """Distribution of max(0, -smallest empirical derivative) over all
-    resample count vectors; exact, for spider cones with at most 4 atoms.
-    Yields (dist, pmf) per block of `_count_blocks`, so memory holds one
-    block at a time."""
+def _spider_enumeration(sp: Cone, mu: Measure, n: int, system: DirectionSystem):
+    """`resample_distances` on (sp, mu)'s system and the multinomial pmf of
+    every resample count vector (spider cones, <= 4 atoms, n <= 400), as
+    (dist, pmf) per block of `_count_blocks`: memory holds one block."""
     if not (isinstance(sp, Cone) and isinstance(sp.directions, FiniteDirections)
             and sp.directions.is_spider):
         raise ValueError("exact enumeration needs a spider cone")
     if n < 1:
         raise ValueError("sample size must be positive")
-    m = mu.size
-    if m > 4:
+    if mu.size > 4:
         raise ValueError("exact enumeration supports at most 4 atoms")
     if n > 400:
         raise ValueError("exact enumeration supports n <= 400")
-    radii = np.array([p.radius for p in mu.points()])
-    legs = [p.direction for p in mu.points()]
     logw = np.log(np.array(mu.weights()))
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
-    for counts in _count_blocks(n, m):
-        contrib = counts * radii
-        sums = {}
-        for i, leg in enumerate(legs):
-            sums[leg] = sums.get(leg, 0) + contrib[:, i]
-        best = np.max(list(sums.values()), axis=0)
+    for counts in _count_blocks(n, mu.size):
         logpmf = (log_factorial[n] - log_factorial[counts].sum(axis=-1)
                   + (counts * logw).sum(axis=-1))
-        yield np.maximum(0.0, (2.0 * best - contrib.sum(axis=-1)) / n), np.exp(logpmf)
+        yield resample_distances(system, counts, n), np.exp(logpmf)
 
 
 def exact_nonstick_probability(sp: Cone, mu: Measure, n: int) -> float:
-    """Exact probability that an n-sample mean leaves the cone point, by
-    enumeration of multinomial resample counts (spider cones, <= 4 atoms)."""
-    return math.fsum(float(pmf[dist > 0.0].sum())
-                     for dist, pmf in _spider_enumeration(sp, mu, n))
+    """Exact probability that an n-sample mean leaves the cone point by the
+    rule of `sample_sticking`, summed over every resample (spider cones)."""
+    blocks = _spider_enumeration(sp, mu, n, build_system(sp, mu))
+    return math.fsum(float(pmf[dist > 0.0].sum()) for dist, pmf in blocks)
 
 
 def exact_mean_distance_moment(sp: Cone, mu: Measure, n: int, q: float) -> float:
     """Exact E[d(cone point, mean of n-sample)^q] for spider cones."""
+    return _exact_moment(sp, mu, n, q, build_system(sp, mu))
+
+
+def _exact_moment(sp: Cone, mu: Measure, n: int, q: float,
+                  system: DirectionSystem) -> float:
     return math.fsum(float((pmf * dist ** q).sum())
-                     for dist, pmf in _spider_enumeration(sp, mu, n))
+                     for dist, pmf in _spider_enumeration(sp, mu, n, system))

@@ -248,9 +248,9 @@ def test_batch_minimizer_across_a_chunk_edge():
 
 
 def test_streamed_monte_carlo_matches_one_whole_matrix_call():
-    """sample_sticking and Monte Carlo modulation score the resamples a
-    window of chunks at a time; the bits are those of one batch call on the
-    whole count matrix."""
+    """sample_sticking and Monte Carlo modulation score the resamples one
+    `_mc.map_chunks` chunk at a time; the bits are those of one batch call on
+    the whole count matrix."""
     rng = np.random.default_rng(59)
     sp = S.petersen_cone()
     mu = S.measure(sp, [(gen.random_point(sp, rng, allow_apex=False), w)

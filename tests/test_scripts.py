@@ -97,6 +97,7 @@ def test_kernel_values_rerun_byte_identical(tmp_path):
         "batch: 0 of 1040 moved, largest move 0",
         "scale: 0 of 1040 moved, largest move 0",
         "verdicts: 0 of 1040 flipped",
+        "exact: 0 of 480 moved, largest move 0 relative",
     ]
 
 

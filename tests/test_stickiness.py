@@ -422,6 +422,8 @@ def test_sample_sticking_ties_do_not_depend_on_radius():
     for r in (1.0, 1.37, 0.77):
         mu = S.measure(sp, [((j, r), w) for j, w in enumerate(weights)])
         p_hats.add(ST.sample_sticking(sp, mu, 500, 10_000, 5).p_hat)
+        # the exact enumeration scores its resamples by the same rule
+        assert ST.exact_nonstick_probability(sp, mu, 20) == 0.39507298909463245
     assert len(p_hats) == 1
 
 

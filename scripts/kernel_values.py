@@ -14,10 +14,14 @@ and `scale`, the row times the radii, which the tie rule of
 `sample_sticking` reads, and `tie_tol`, the package's TIE_TOL.  `exact`
 is (60 x 4 x 2): on 60 seeded spider measures with 1-4 atoms, the exact
 probability that the mean leaves the cone point and the exact q = 2 distance
-moment, at each n of 1, 7, 20 and 60.  --compare takes two such files (or
+moment, at each n of 1, 7, 20 and 60.  `cones` is (60 x 3 x 2), the same
+two values on 60 seeded measures with 1-3 atoms on the other cones, taking
+turns as above, at each n of 1, 7 and 20; they are drawn after the spiders,
+so the other arrays keep their values.  --compare takes two such files (or
 the directories holding them) and prints, per array, how many values moved
-and the largest move (relative for `exact`), and how many batch verdicts
-batch < -tie_tol * scale flipped, each file by its own `tie_tol`.  --compare
+and the largest move (relative for `exact` and `cones`, each where both
+files have it), and how many batch verdicts batch < -tie_tol * scale
+flipped, each file by its own `tie_tol`.  --compare
 needs numpy only, so it runs without the package on the path.
 """
 import argparse
@@ -34,6 +38,8 @@ N = 20
 RESAMPLES = 51
 SPIDERS = 60
 EXACT_N = (1, 7, 20, 60)
+CONES = 60
+CONES_N = (1, 7, 20)
 FILE = "kernel_values.npz"
 
 
@@ -73,6 +79,12 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
         mu = gen.random_measure(sp, rng, max_atoms=4)
         out["exact"][k] = [(ST.exact_nonstick_probability(sp, mu, n),
                             ST.exact_mean_distance_moment(sp, mu, n, 2.0)) for n in EXACT_N]
+    out["cones"] = np.empty((CONES, len(CONES_N), 2))
+    for k in range(CONES):
+        sp = makers[k % len(makers)](rng)
+        mu = gen.random_measure(sp, rng, max_atoms=3)
+        out["cones"][k] = [(ST.exact_nonstick_probability(sp, mu, n),
+                            ST.exact_mean_distance_moment(sp, mu, n, 2.0)) for n in CONES_N]
     return out
 
 
@@ -99,11 +111,13 @@ def compare(a: dict, b: dict) -> None:
         print(f"{name}: {int(moved.sum())} of {moved.size} moved, largest move {largest:.3g}")
     leaves = [v["batch"] < -v["tie_tol"] * v["scale"] for v in (a, b)]
     print(f"verdicts: {int((leaves[0] != leaves[1]).sum())} of {leaves[0].size} flipped")
-    if "exact" in a and "exact" in b:
-        moved = a["exact"] != b["exact"]
-        pairs = np.abs([a["exact"][moved], b["exact"][moved]])
+    for name in ("exact", "cones"):
+        if name not in a or name not in b:
+            continue
+        moved = a[name] != b[name]
+        pairs = np.abs([a[name][moved], b[name][moved]])
         rel = np.abs(pairs[0] - pairs[1]) / pairs.max(axis=0)
-        print(f"exact: {int(moved.sum())} of {moved.size} moved, "
+        print(f"{name}: {int(moved.sum())} of {moved.size} moved, "
               f"largest move {float(rel.max(initial=0.0)):.3g} relative")
 
 

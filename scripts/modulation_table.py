@@ -31,11 +31,10 @@ def main():
         print(f"plane,{n},{args.q:.17g},{est.m_hat:.17g},{est.se:.17g},"
               f"{str(est.exact).lower()}")
     for n in args.n_grid:
-        if n <= 400:
-            est = asymptotics.modulation(sp, thirds, n, args.q, args.trials,
-                                         args.seed)
-            print(f"spider3,{n},{args.q:.17g},{est.m_hat:.17g},{est.se:.17g},"
-                  f"{str(est.exact).lower()}")
+        est = asymptotics.modulation(sp, thirds, n, args.q, args.trials,
+                                     args.seed)
+        print(f"spider3,{n},{args.q:.17g},{est.m_hat:.17g},{est.se:.17g},"
+              f"{str(est.exact).lower()}")
 
 
 if __name__ == "__main__":

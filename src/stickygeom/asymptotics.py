@@ -11,7 +11,7 @@ import numpy as np
 from ._mc import map_chunks, resample_counts
 from .directions import build_system, min_derivative, resample_distances
 from .spaces import Cone, Measure
-from .stickiness import _exact_moment
+from .stickiness import ENUMERATION_WORK, _exact_moment, enumeration_work
 
 # relative to the first moment w @ radii, which a dilation r -> s r scales as
 # it scales every direction derivative
@@ -52,28 +52,27 @@ def modulation(sp: Cone, mu: Measure, n: int, q: float, trials: int, seed: int,
                method: str = "auto", threads: int = 1) -> ModulationEstimate:
     """Moment modulation at sample size n.
 
-    method "exact" (or "auto" where tractable: spider cones, <= 4 atoms,
-    n <= 400) enumerates multinomial resample counts; otherwise seeded Monte
-    Carlo over `trials` resamples, each worker drawing and scoring its own
-    `_mc.CHUNK`-row chunks, so only the `trials` distances are kept.  Both
-    score by `resample_distances` on the one direction system built here."""
+    method "exact" (or "auto" where `enumeration_work` is at most
+    ENUMERATION_WORK) enumerates multinomial resample counts; otherwise
+    seeded Monte Carlo over `trials` resamples, each worker drawing and
+    scoring its own `_mc.CHUNK`-row chunks, so only the `trials` distances
+    are kept.  Both score by `resample_distances` on the one direction
+    system built here."""
     if method not in MODULATION_METHODS:
         raise ValueError(f"unknown modulation method {method!r}")
     if q < 1.0:
         raise ValueError("moment order must be >= 1")
+    if n < 1:
+        raise ValueError("sample size must be positive")
     system = _require_mean_at_apex(sp, mu)
     denom = math.fsum(w * z.radius ** q for z, w in mu.atoms)
     if denom <= 0.0:
         raise ValueError("modulation denominator vanishes (point mass at the apex)")
     scale = float(n) ** (q / 2.0)
-    if method in ("auto", "exact"):
-        try:
-            moment = _exact_moment(sp, mu, n, q, system)
-            return ModulationEstimate(n, q, scale * moment / denom, 0.0, denom,
-                                      0, True)
-        except ValueError:
-            if method == "exact":
-                raise
+    if method == "exact" or (method == "auto"
+                             and enumeration_work(system, n) <= ENUMERATION_WORK):
+        moment = _exact_moment(sp, mu, n, q, system)
+        return ModulationEstimate(n, q, scale * moment / denom, 0.0, denom, 0, True)
 
     dq = np.concatenate(map_chunks(mu.weights(), n, trials, seed, threads,
                                    lambda c: resample_distances(system, c, n) ** q))

@@ -282,21 +282,16 @@ def _validate_params(cmd: str, params: dict, data: dict, space, errors: list):
 # ---------------------------------------------------------------------------
 
 def _coord_json(coord):
-    if isinstance(coord, tuple):
-        return [coord[0], coord[1]]
-    return coord
+    return list(coord) if isinstance(coord, tuple) else coord
 
 
 def _coord_csv(coord):
-    if isinstance(coord, tuple):
-        return f"{coord[0]}:{_csv_cell(coord[1])}"
-    return _csv_cell(coord)
+    return f"{coord[0]}:{_csv_cell(coord[1])}" if isinstance(coord, tuple) else _csv_cell(coord)
 
 
 def run_config(cfg: ExperimentConfig):
     """Execute a validated config; returns (report dict, rows, summary)."""
-    handler = _HANDLERS[cfg.command]
-    return handler(cfg)
+    return _HANDLERS[cfg.command](cfg)
 
 
 def _cmd_mean(cfg):
@@ -376,11 +371,10 @@ def _cmd_divergence(cfg):
         y = point_from_json(cfg.space, cfg.parameters["y"])
         t = float(cfg.parameters["t"])
         closed = transport.perturbed_divergence(cfg.space, cfg.measure, y, t, kind)
-        direct = transport.f_divergence(
+        value = transport.f_divergence(
             cfg.space, cfg.measure,
             transport.perturbed_measure(cfg.space, cfg.measure, y, t), kind)
-        value = direct
-        report.update({"value": direct, "closed_form": closed, "t": t})
+        report.update({"value": value, "closed_form": closed, "t": t})
     rows = [dict(report)]
     return report, rows, f"divergence: {kind.name}={_csv_cell(value)}"
 
@@ -466,18 +460,7 @@ def _cmd_prismatic(cfg):
     return report, [dict(report)], f"prismatic: {str(value).lower()}"
 
 
-_HANDLERS = {
-    "mean": _cmd_mean,
-    "derivs": _cmd_derivs,
-    "classify": _cmd_classify,
-    "perturb": _cmd_perturb,
-    "wasserstein": _cmd_wasserstein,
-    "divergence": _cmd_divergence,
-    "sample-sim": _cmd_sample_sim,
-    "modulation": _cmd_modulation,
-    "clt": _cmd_clt,
-    "prismatic": _cmd_prismatic,
-}
+_HANDLERS = {cmd: globals()["_cmd_" + cmd.replace("-", "_")] for cmd in COMMANDS}
 
 
 # ---------------------------------------------------------------------------

@@ -232,37 +232,55 @@ def tail_bound(c_min: float, k: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact spider resampling: every count vector, scored by resample_distances
+# exact resampling on any cone within ENUMERATION_WORK: every count vector
 # ---------------------------------------------------------------------------
 
-def _count_blocks(n: int, m: int):
+BLOCK_ROWS = 80_601  # C(402, 2); a block of more rows splits by its next count
+SCREEN_WIDTH = 16  # per-row cost of batch_min_derivative's piece screen, in cells
+BLOCK_WORK = 4096  # per-block cost of the pmf and the scoring calls, in cells
+ENUMERATION_WORK = math.comb(403, 3) * 8 + 401 * BLOCK_WORK  # 4 atoms, 4-spider, n = 400
+
+
+def enumeration_work(system: DirectionSystem, n: int) -> int:
+    """Cells the exact enumeration at sample size n scores: C(n + m - 1,
+    m - 1) rows as wide as the m atoms, the candidates and twice the pieces
+    (plus SCREEN_WIDTH if there are any), and BLOCK_WORK per first count."""
+    m, pieces = len(system.radii), len(system.pieces)
+    width = m + len(system.candidates) + 2 * pieces + (SCREEN_WIDTH if pieces else 0)
+    return math.comb(n + m - 1, m - 1) * width + (n + 1) * BLOCK_WORK
+
+
+def _count_blocks(n: int, m: int, prefix: tuple = ()):
     """Every vector of m nonnegative counts summing to n, in lexicographic
-    order, in blocks of rows that share the first count."""
-    for first in range(n + 1) if m > 1 else (n,):
-        rows = np.array([[first, n - first]])[:, :m]  # m = 1: [[n]]
-        for _ in range(m - 2):
-            # split each row's last count t into (c, t - c) for c = 0..t
-            t = rows[:, -1]
-            start = np.repeat(np.cumsum(t + 1) - (t + 1), t + 1)
-            c = np.arange(len(start)) - start
-            rows = np.column_stack([np.repeat(rows[:, :-1], t + 1, axis=0), c,
-                                    np.repeat(t, t + 1) - c])
-        yield rows
+    order after the prefix, in blocks of rows that share the first count; a
+    block of more than BLOCK_ROWS rows splits by its next count, so a block
+    holds O(BLOCK_ROWS * m) counts whatever m is."""
+    if m > 1 and (not prefix or math.comb(n + m - 1, m - 1) > BLOCK_ROWS):
+        for first in range(n + 1):
+            yield from _count_blocks(n - first, m - 1, prefix + (first,))
+        return
+    rows = np.array([[*prefix, n]])
+    for _ in range(m - 1):
+        # split each row's last count t into (c, t - c) for c = 0..t
+        t = rows[:, -1]
+        start = np.repeat(np.cumsum(t + 1) - (t + 1), t + 1)
+        c = np.arange(len(start)) - start
+        rows = np.column_stack([np.repeat(rows[:, :-1], t + 1, axis=0), c,
+                                np.repeat(t, t + 1) - c])
+    yield rows
 
 
-def _spider_enumeration(sp: Cone, mu: Measure, n: int, system: DirectionSystem):
+def _enumeration(sp: Cone, mu: Measure, n: int, system: DirectionSystem):
     """`resample_distances` on (sp, mu)'s system and the multinomial pmf of
-    every resample count vector (spider cones, <= 4 atoms, n <= 400), as
-    (dist, pmf) per block of `_count_blocks`: memory holds one block."""
-    if not (isinstance(sp, Cone) and isinstance(sp.directions, FiniteDirections)
-            and sp.directions.is_spider):
-        raise ValueError("exact enumeration needs a spider cone")
+    every resample count vector, as (dist, pmf) per block of
+    `_count_blocks`: memory holds one block."""
+    if not isinstance(sp, Cone):
+        raise ValueError("exact enumeration works on cones; reduce open books "
+                         "to the spider marginal")
     if n < 1:
         raise ValueError("sample size must be positive")
-    if mu.size > 4:
-        raise ValueError("exact enumeration supports at most 4 atoms")
-    if n > 400:
-        raise ValueError("exact enumeration supports n <= 400")
+    if enumeration_work(system, n) > ENUMERATION_WORK:
+        raise ValueError(f"exact enumeration at n = {n} exceeds ENUMERATION_WORK")
     logw = np.log(np.array(mu.weights()))
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
@@ -274,17 +292,17 @@ def _spider_enumeration(sp: Cone, mu: Measure, n: int, system: DirectionSystem):
 
 def exact_nonstick_probability(sp: Cone, mu: Measure, n: int) -> float:
     """Exact probability that an n-sample mean leaves the cone point by the
-    rule of `sample_sticking`, summed over every resample (spider cones)."""
-    blocks = _spider_enumeration(sp, mu, n, build_system(sp, mu))
+    rule of `sample_sticking`, summed over every resample (within ENUMERATION_WORK)."""
+    blocks = _enumeration(sp, mu, n, build_system(sp, mu))
     return math.fsum(float(pmf[dist > 0.0].sum()) for dist, pmf in blocks)
 
 
 def exact_mean_distance_moment(sp: Cone, mu: Measure, n: int, q: float) -> float:
-    """Exact E[d(cone point, mean of n-sample)^q] for spider cones."""
+    """Exact E[d(cone point, mean of n-sample)^q] within ENUMERATION_WORK."""
     return _exact_moment(sp, mu, n, q, build_system(sp, mu))
 
 
 def _exact_moment(sp: Cone, mu: Measure, n: int, q: float,
                   system: DirectionSystem) -> float:
     return math.fsum(float((pmf * dist ** q).sum())
-                     for dist, pmf in _spider_enumeration(sp, mu, n, system))
+                     for dist, pmf in _enumeration(sp, mu, n, system))

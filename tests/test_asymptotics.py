@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stickygeom import asymptotics as A
 from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom import stickiness as ST
+from stickygeom.directions import build_system
 
 PI = math.pi
 
@@ -35,9 +37,12 @@ def plane_four():
 def test_plane_modulation_is_one(plane_four):
     plane, four = plane_four
     for n in (50, 200):
-        est = A.modulation(plane, four, n, 2.0, 8000, 7)
+        est = A.modulation(plane, four, n, 2.0, 8000, 7, method="mc")
         assert abs(est.m_hat - 1.0) <= 4 * est.se + 0.02
         assert not est.exact
+        # auto enumerates the plane's resamples: modulation 1 to rounding
+        est = A.modulation(plane, four, n, 2.0, 8000, 7)
+        assert est.exact and abs(est.m_hat - 1.0) <= 1e-12
 
 
 def test_sticky_modulation_decays(spider3, thirds):
@@ -90,10 +95,28 @@ def test_modulation_checks_the_method_first(spider3, monkeypatch):
 
 def test_modulation_reproducible(plane_four):
     plane, four = plane_four
-    a = A.modulation(plane, four, 60, 2.0, 4000, 123)
-    b = A.modulation(plane, four, 60, 2.0, 4000, 123)
-    c = A.modulation(plane, four, 60, 2.0, 4000, 123, threads=4)
+    a = A.modulation(plane, four, 60, 2.0, 4000, 123, method="mc")
+    b = A.modulation(plane, four, 60, 2.0, 4000, 123, method="mc")
+    c = A.modulation(plane, four, 60, 2.0, 4000, 123, method="mc", threads=4)
     assert a == b == c
+
+
+def test_wide_spider_modulation_falls_back_fast():
+    """Four atoms at n = 400 on a 200-leg spider are 10.8 million resamples
+    with 200 candidates each: past ENUMERATION_WORK, so auto takes Monte
+    Carlo at once instead of enumerating them."""
+    sp = S.spider(200)
+    mu = S.measure(sp, [((j, 1.0), 0.25) for j in (0, 50, 100, 150)])
+    start = time.perf_counter()
+    est = A.modulation(sp, mu, 400, 2.0, 2000, 3)
+    assert not est.exact
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="exceeds ENUMERATION_WORK"):
+        A.modulation(sp, mu, 400, 2.0, 2000, 3, method="exact")
+    # on four legs the same measure is the largest case the bound admits
+    legs4 = S.spider(4)
+    mu4 = S.measure(legs4, [((j, 1.0), 0.25) for j in range(4)])
+    assert ST.enumeration_work(build_system(legs4, mu4), 400) == ST.ENUMERATION_WORK
 
 
 def test_tangent_bound_is_identity_on_cones():

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPTS = [
     ("decay_table.py", "n,exact,p_hat,se,bound", 6),
-    ("modulation_table.py", "fixture,n,q,m_hat,se,exact", 5),
+    ("modulation_table.py", "fixture,n,q,m_hat,se,exact", 6),
     ("clt_table.py", "i,j,paper_cov,centered_cov,empirical_cov,se", 9),
 ]
 
@@ -98,6 +98,7 @@ def test_kernel_values_rerun_byte_identical(tmp_path):
         "scale: 0 of 1040 moved, largest move 0",
         "verdicts: 0 of 1040 flipped",
         "exact: 0 of 480 moved, largest move 0 relative",
+        "cones: 0 of 360 moved, largest move 0 relative",
     ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from scipy import stats
 
 import gen
 from stickygeom import asymptotics as A
+from stickygeom import cli
 from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom import stickiness as ST
@@ -388,6 +390,114 @@ def test_exact_enumeration_against_brute_force(m):
             math.fsum(prob), abs=1e-12)
         assert ST.exact_mean_distance_moment(sp, mu, n, 2.0) == pytest.approx(
             math.fsum(moment), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(4, 400), (15, 10)])
+def test_count_blocks_stay_under_the_cap(m, n):
+    """Every count vector appears once, in lexicographic order, in blocks
+    that share their first count and hold at most BLOCK_ROWS rows: 4 atoms
+    at n = 400 keep one block per first count, 15 atoms at n = 10 split the
+    blocks of the small first counts further."""
+    rows, prev, firsts = 0, None, []
+    for block in ST._count_blocks(n, m):
+        assert block.shape[1] == m and len(block) <= ST.BLOCK_ROWS
+        assert (block.sum(axis=1) == n).all() and (block >= 0).all()
+        assert len(set(block[:, 0].tolist())) == 1
+        firsts.append(int(block[0, 0]))
+        seq = block if prev is None else np.vstack([prev, block])
+        step = np.diff(seq, axis=0)
+        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        assert (lead > 0).all()  # strictly increasing, so each vector once
+        rows += len(block)
+        prev = block[-1:]
+    assert rows == math.comb(n + m - 1, m - 1)
+    assert firsts == sorted(firsts)
+    if m == 4:
+        assert firsts == list(range(n + 1))
+    else:
+        assert len(firsts) > n + 1
+
+
+def _fixture(name):
+    with open(cli.fixture_path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    sp = S.space_from_json(data["space"])
+    return sp, S.measure_from_json(sp, data["measure"])
+
+
+def test_exact_modulation_of_thirds_on_every_cone(spider3, thirds):
+    """Three atoms of weight 1/3 a distance pi apart on the 3-pi kale and on
+    the Petersen cone resample like the 3-spider thirds: the same exact
+    modulation, to 2 ulp."""
+    for name in ("kale_3pi_thirds.json", "petersen_cone.json"):
+        sp, mu = _fixture(name)
+        for n in (10, 20, 40):
+            ref = A.modulation(spider3, thirds, n, 2.0, 0, 0, method="exact").m_hat
+            est = A.modulation(sp, mu, n, 2.0, 0, 0)
+            assert est.exact and abs(est.m_hat - ref) <= 2 * math.ulp(ref)
+
+
+def _cone_maker(kind, rng):
+    if kind == "kale":
+        return S.kale(float(rng.uniform(0.5 * PI, 4.0 * PI)))
+    if kind == "tree":
+        return gen.random_tree_graph_cone(rng)
+    if kind == "cycle":
+        return gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI)
+    return gen.random_finite_cone(rng)
+
+
+def _sticky_measure(kind, rng):
+    """A sticky measure of at most 4 atoms: thirds jittered on a kale of 3 to
+    3.5 pi, else `gen.sticky_spread_measure`."""
+    while True:
+        if kind == "kale":
+            alpha = float(rng.uniform(3.0 * PI, 3.5 * PI))
+            sp = S.kale(alpha)
+            mu = S.measure(sp, [((alpha * j / 3.0 + float(rng.uniform(0.0, 0.2)),
+                                  float(rng.uniform(0.8, 1.0))), w)
+                                for j, w in enumerate(rng.dirichlet(np.full(3, 30.0)))])
+        else:
+            sp, mu = gen.sticky_spread_measure(rng, lambda r: _cone_maker(kind, r))
+        if mu.size <= 4 and ST.classify(sp, mu).label == "sticky":
+            return sp, mu
+
+
+@pytest.mark.parametrize("kind", ["kale", "tree", "cycle", "finite"])
+def test_exact_moment_against_cone_means(kind):
+    """On seeded kales, graph cones and finite cones, sticky or not, the
+    enumeration's q = 2 moment is the pmf-weighted sum of the squared radius
+    of the scalar `cone_mean` of every resampled measure."""
+    rng = np.random.default_rng({"kale": 70, "tree": 71, "cycle": 72, "finite": 73}[kind])
+    measures = []
+    for m in (2, 3, 4):
+        sp = _cone_maker(kind, rng)
+        weights = rng.dirichlet(np.ones(m)).tolist()
+        measures.append((sp, S.measure(sp, [(gen.random_point(sp, rng), w)
+                                            for w in weights])))
+    measures.append(_sticky_measure(kind, rng))
+    n = 12
+    for sp, mu in measures:
+        pts, weights, m = mu.points(), mu.weights(), mu.size
+        terms = []
+        for c in itertools.product(range(n + 1), repeat=m):
+            if sum(c) != n:
+                continue
+            pmf = math.factorial(n) * math.prod(
+                w ** k / math.factorial(k) for w, k in zip(weights, c))
+            resampled = S.measure(sp, [(p, k / n) for p, k in zip(pts, c) if k])
+            terms.append(pmf * F.cone_mean(sp, resampled).radius ** 2)
+        assert ST.exact_mean_distance_moment(sp, mu, n, 2.0) == pytest.approx(
+            math.fsum(terms), rel=1e-12)
+
+
+def test_exact_enumeration_refuses_open_books():
+    bk = S.open_book(3, 2)
+    mu = S.measure(bk, [(S.point(bk, j, 1.0, (0.1 * j,)), 1 / 3) for j in range(3)])
+    for call in (lambda: ST.exact_nonstick_probability(bk, mu, 5),
+                 lambda: ST.exact_mean_distance_moment(bk, mu, 5, 2.0)):
+        with pytest.raises(ValueError, match="exact enumeration works on cones"):
+            call()
 
 
 def test_sample_sticking_matches_exact(spider3, thirds):

@@ -17,14 +17,18 @@ probability that the mean leaves the cone point and the exact q = 2 distance
 moment, at each n of 1, 7, 20 and 60.  `cones` is (60 x 3 x 2), the same
 two values on 60 seeded measures with 1-3 atoms on the other cones, taking
 turns as above, at each n of 1, 7 and 20; they are drawn after the spiders,
-so the other arrays keep their values.  --compare takes two such files (or
-the directories holding them) and prints, per array, how many values moved
-and the largest move (relative for `exact` and `cones`, each where both
-files have it), and how many batch verdicts batch < -tie_tol * scale
-flipped, each file by its own `tie_tol`.  --compare
-needs numpy only, so it runs without the package on the path.
+so the other arrays keep their values.  `pieces` is (measures x 32) uint8:
+per measure, the sha256 of its direction system's candidates, piece table
+and pulls, which draws nothing.  --compare takes two such files (or the
+directories holding them) and prints, per array, how many values moved and
+the largest move (relative for `exact` and `cones`, each where both files
+have it), how many batch verdicts batch < -tie_tol * scale flipped, each
+file by its own `tie_tol`, and how many measures' `pieces` moved, where both
+files have them.  --compare needs numpy only, so it runs without the
+package on the path.
 """
 import argparse
+import hashlib
 import math
 import sys
 import zipfile
@@ -63,6 +67,7 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     out = {name: np.empty((measures, RESAMPLES + 1))
            for name in ("scalar", "batch", "scale")}
+    out["pieces"] = np.empty((measures, 32), dtype=np.uint8)
     for k in range(measures):
         sp = makers[k % len(makers)](rng)
         mu = gen.random_measure(sp, rng, max_atoms=8)
@@ -72,6 +77,7 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
         out["scalar"][k] = [min_derivative(system, row)[1] for row in rows]
         out["batch"][k] = batch_min_derivative(system, rows)
         out["scale"][k] = rows @ system.radii
+        out["pieces"][k] = _piece_digest(system)
     out["tie_tol"] = np.array(TIE_TOL)
     out["exact"] = np.empty((SPIDERS, len(EXACT_N), 2))
     for k in range(SPIDERS):
@@ -86,6 +92,17 @@ def values(measures: int, seed: int) -> dict[str, np.ndarray]:
         out["cones"][k] = [(ST.exact_nonstick_probability(sp, mu, n),
                             ST.exact_mean_distance_moment(sp, mu, n, 2.0)) for n in CONES_N]
     return out
+
+
+def _piece_digest(system) -> np.ndarray:
+    """sha256 of the candidates (their repr), and of each array of the piece
+    table and the pulls with its dtype and shape, as 32 uint8."""
+    h = hashlib.sha256(repr(system.candidates).encode())
+    t = system.pieces
+    for arr in (t.lo, t.hi, t.a, t.b, t.c, t.edge, system.pulls):
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 def save(path: Path, arrays: dict[str, np.ndarray]) -> None:
@@ -119,6 +136,9 @@ def compare(a: dict, b: dict) -> None:
         rel = np.abs(pairs[0] - pairs[1]) / pairs.max(axis=0)
         print(f"{name}: {int(moved.sum())} of {moved.size} moved, "
               f"largest move {float(rel.max(initial=0.0)):.3g} relative")
+    if "pieces" in a and "pieces" in b:
+        moved = (a["pieces"] != b["pieces"]).any(axis=1)
+        print(f"pieces: {int(moved.sum())} of {moved.size} moved")
 
 
 def main():

@@ -13,10 +13,11 @@ plus a constant, c - R cos(theta - phi).  Its minimizer on the piece is the
 critical angle phi when that lies inside, else an endpoint.  The pieces of
 a measure are built once, as arrays.  The circle and graph builders only
 find the breakpoints, which are the candidates, and the pieces between them;
-`build_system` reads the rest from the metric: one table of atom-to-candidate
-distances gives the pulls and each atom's distance at both ends of every
-piece, and one more gives its distance at every midpoint.  The slope, the
-sign of d(hi) - d(lo), and the midpoint distance give the phase, and
+`build_system` reads the rest from the metric, in one table of each atom's
+distance to every candidate and to every piece's midpoint.  Its candidate
+columns give the pulls and each atom's distance at both ends of every
+piece.  The slope, the sign of d(hi) - d(lo), and the midpoint distance give
+the phase, and
 `_coefficients` turns those into a `PieceTable` (one column per piece) by one
 rule.  One closed form for the critical angles serves the exact queries: the
 scalar minimizer scores them exactly with the breakpoints, and
@@ -90,19 +91,29 @@ class DirectionSystem:
         canonicalized first, so one off the direction space raises
         ValueError."""
         ds = self.space.directions
-        return _pulls(self.radii, ds.distances(self.atom_dirs,
-                                               [ds.canonical(c) for c in coords]))
+        return self._canonical_pulls([ds.canonical(c) for c in coords])
+
+    def _canonical_pulls(self, coords) -> np.ndarray:
+        # `pull_matrix` at coordinates that are canonical already
+        if not len(coords):
+            return np.zeros((len(self.radii), 0))
+        return _pulls(self.radii, self.space.directions.distances(self.atom_dirs, coords))
 
     def derivatives(self, weights, coords=None) -> list[float]:
         """Exact derivatives -fsum_i w_i pull_i at each coordinate (default:
         the candidates, read from the stored pulls)."""
-        pulls = self.pulls if coords is None else self.pull_matrix(coords)
-        prods = np.asarray(weights, dtype=float)[:, None] * pulls
-        return [-math.fsum(col) for col in prods.T.tolist()]
+        return _derivatives(weights, self.pulls if coords is None
+                            else self.pull_matrix(coords))
 
     def derivative_at(self, weights, coord) -> float:
         """Exact derivative at one coordinate."""
         return self.derivatives(weights, [coord])[0]
+
+
+def _derivatives(weights, pulls) -> list[float]:
+    """Exact derivatives -fsum_i w_i pull_i at every column of pulls."""
+    prods = np.asarray(weights, dtype=float)[:, None] * pulls
+    return [-math.fsum(col) for col in prods.T.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +125,12 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
     this is the system of its spider marginal, whose weights go with it.
 
     The kind's builder finds the candidates and the pieces between them;
-    everything else is read from the metric.  One table of every atom's
-    distance to every candidate gives the pulls and, in its columns, the
-    distances at both ends of every piece; one more gives the distances at
-    the piece midpoints.  On a piece an atom's distance has slope +-1, the
-    sign of d(hi) - d(lo), and the atom adds r cos(theta + phase) with phase
-    slope * d(mid) - mid."""
+    everything else is read from the metric, in one table of every atom's
+    distance to every candidate (canonicalized) and then to every piece's
+    midpoint.  Its candidate columns give the pulls and the distances at
+    both ends of every piece.  On a piece an atom's distance has slope +-1,
+    the sign of d(hi) - d(lo), and the atom adds r cos(theta + phase) with
+    phase slope * d(mid) - mid."""
     if isinstance(sp, OpenBook):
         return build_system(sp.spider, spider_marginal(sp, mu))
     ds = sp.directions
@@ -127,17 +138,16 @@ def build_system(sp: Space, mu: Measure) -> DirectionSystem:
     dirs = [p.direction for p in mu.points()]
     if isinstance(ds, FiniteDirections):
         kind, cands = "finite", list(range(ds.size))
-        lo = hi = np.zeros(0)
-        edge, ends = np.zeros(0, dtype=int), np.zeros((2, 0), dtype=int)
+        at, lo = cands, np.zeros(0)
+        hi, edge, ends = lo, np.zeros(0, dtype=int), np.zeros((2, 0), dtype=int)
     elif isinstance(ds, CircleDirections):
-        kind, (cands, lo, hi, edge, ends) = "circle", _circle_pieces(ds, radii, dirs)
+        kind, (cands, at, lo, hi, edge, ends) = "circle", _circle_pieces(ds, radii, dirs)
     else:
-        kind, (cands, lo, hi, edge, ends) = "graph", _graph_pieces(ds, radii, dirs)
-    dist = ds.distances(dirs, [ds.canonical(c) for c in cands])
-    mid = (lo + hi) / 2.0
-    mid_dist = ds.distances(dirs, mid if kind == "circle"
-                            else list(zip(edge.tolist(), mid.tolist())))
-    phase = np.sign(dist[:, ends[1]] - dist[:, ends[0]]) * mid_dist - mid
+        kind, (cands, at, lo, hi, edge, ends) = "graph", _graph_pieces(ds, radii, dirs)
+    table = ds.distances(dirs, at)
+    dist, mid_dist = table[:, :len(cands)], table[:, len(cands):]
+    slope = np.sign(dist.take(ends[1], axis=1) - dist.take(ends[0], axis=1))
+    phase = slope * mid_dist - (lo + hi) / 2.0
     return DirectionSystem(kind, sp, radii, cands, _pulls(radii, dist),
                            _coefficients(radii, lo, hi, mid_dist, phase, edge), dirs)
 
@@ -161,20 +171,24 @@ def _coefficients(radii, lo, hi, dist, delta, edge) -> PieceTable:
     return PieceTable(lo, hi, a, b, c, edge)
 
 
-def _sorted_merged(values) -> list:
-    """The values in increasing order, less any within 1e-14 of the last one
-    kept."""
-    out = []
-    for val in sorted(values):
-        if not out or val - out[-1] > 1e-14:
-            out.append(val)
-    return out
+def _merged(values: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """Which of the increasing values to keep: all but those within 1e-14 of
+    the last one kept.  close[j] marks each step from values[j] to
+    values[j + 1] of at most 1e-14; a value after any other step is kept."""
+    keep = np.ones(len(values), dtype=bool)
+    last = 0.0
+    for j in np.flatnonzero(close).tolist():
+        if keep[j]:
+            last = values[j]
+        keep[j + 1] = values[j + 1] - last > 1e-14
+    return keep
 
 
 def _circle_pieces(ds: CircleDirections, radii, dirs):
     """Candidates (the breakpoints: every atom's direction and where its
-    distance reaches pi or its largest value), the pieces between them, and
-    the (2, P) candidate indices at each piece's lo and hi."""
+    distance reaches pi or its largest value), the candidates and then the
+    piece midpoints as one array, the pieces between the candidates, and the
+    (2, P) candidate indices at each piece's lo and hi."""
     alpha = ds.alpha
     bps = set()
     for r, theta in zip(radii, dirs):
@@ -186,54 +200,58 @@ def _circle_pieces(ds: CircleDirections, radii, dirs):
             bps.add(ds.canonical(theta - PI))
         else:
             bps.add(ds.canonical(theta + alpha / 2.0))
-    if not bps:
-        bps.add(0.0)
-    cands = _sorted_merged(bps)
+    bps = np.array(sorted(bps)) if bps else np.zeros(1)
+    cands = bps[_merged(bps, np.diff(bps) <= 1e-14)]
     if alpha - (cands[-1] - cands[0]) <= 1e-14:
-        cands.pop()  # the last breakpoint wraps onto the first
-    lo = np.array(cands)
-    hi = np.append(lo[1:], lo[0] + alpha)
-    keep = hi - lo > 1e-14
-    ends = np.arange(len(lo))
-    ends = np.array([ends, (ends + 1) % len(lo)])[:, keep]
-    return cands, lo[keep], hi[keep], np.full(keep.sum(), -1), ends
+        cands = cands[:-1]  # the last breakpoint wraps onto the first
+    hi = np.append(cands[1:], cands[0] + alpha)
+    keep = hi - cands > 1e-14
+    ends = np.arange(len(cands))
+    ends = np.array([ends, (ends + 1) % len(cands)])[:, keep]
+    lo, hi = cands[keep], hi[keep]
+    return (cands.tolist(), np.concatenate([cands, (lo + hi) / 2.0]), lo, hi,
+            np.full(keep.sum(), -1), ends)
 
 
 def _graph_pieces(ds: GraphDirections, radii, dirs):
     """Candidates (the breakpoints on every edge: its ends, atom directions,
-    and where an atom's distance switches branch or reaches pi), the pieces
-    between consecutive ones on each edge, and the (2, P) candidate indices
-    at each piece's lo and hi."""
+    and where an atom's distance switches branch or reaches pi), the
+    canonical candidates and then the piece midpoints as one (edge, offset)
+    array, the pieces between consecutive candidates on each edge, and the
+    (2, P) candidate indices at each piece's lo and hi.
+
+    Every edge's cuts are one row of an (edges, cuts) array, a column per
+    cut rule and carried atom (nan where an atom is not on the edge).  A row
+    keeps the cuts in [-1e-14, L + 1e-14], clipped to [0, L], sorted, less
+    exact repeats and less those that `_merged` drops."""
     # (edges, m): distance from each edge's first and second endpoint to
-    # each atom's direction
-    to_first, to_second = ds.endpoint_distances(dirs)
-    cand_coords: list[tuple[int, float]] = []
-    los, his, piece_edges, lo_end = [], [], [], []
-    for eid, ((_u, _v, length), ra, rb) in enumerate(
-            zip(ds.edges, to_first.tolist(), to_second.tolist())):
-        cuts = {0.0, length}
-        for i, r in enumerate(radii):
-            if r <= 0.0:
-                continue
-            branches = [(ra[i], 1.0), (rb[i] + length, -1.0)]
-            cuts.add((rb[i] + length - ra[i]) / 2.0)
-            if dirs[i][0] == eid:
-                off = dirs[i][1]
-                cuts.add(off)
-                cuts.add((off - ra[i]) / 2.0)
-                cuts.add((off + rb[i] + length) / 2.0)
-                branches += [(off, -1.0), (-off, 1.0)]
-            for b, s in branches:
-                cuts.add((PI - b) / s)
-        cleaned = _sorted_merged(min(max(c, 0.0), length) for c in cuts
-                                 if -1e-14 <= c <= length + 1e-14)
-        lo_end += range(len(cand_coords), len(cand_coords) + len(cleaned) - 1)
-        cand_coords += [(eid, coord) for coord in cleaned]
-        los += cleaned[:-1]
-        his += cleaned[1:]
-        piece_edges += [eid] * (len(cleaned) - 1)
-    lo_end = np.array(lo_end, dtype=int)
-    return (cand_coords, np.array(los), np.array(his), np.array(piece_edges, dtype=int),
+    # each carried atom's direction
+    carried = radii > 0.0
+    ra, rb = (d[:, carried] for d in ds.endpoint_distances(dirs))
+    length = ds._endpoint_arrays[3][:, None]
+    home, off = np.array([d for d, r in zip(dirs, carried) if r]).reshape(-1, 2).T
+    off = np.where(home == np.arange(len(length))[:, None], off, np.nan)
+    far = rb + length  # the distance along the branch through the second endpoint
+    cuts = np.hstack([np.zeros_like(length), length, (far - ra) / 2.0,
+                      PI - ra, (PI - far) / -1.0,  # the pi crossing of each branch
+                      off, (off - ra) / 2.0, (off + rb + length) / 2.0,
+                      (PI - off) / -1.0, PI + off])
+    keep = (cuts >= -1e-14) & (cuts <= length + 1e-14)
+    # past every kept cut: a row sorts its dropped cuts last
+    cuts = np.where(keep, np.where(cuts > 0.0, np.minimum(cuts, length), 0.0), length + 1.0)
+    cuts.sort(axis=1)
+    keep = cuts <= length
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    edge, col = np.nonzero(keep)
+    coord = cuts[edge, col]
+    kept = _merged(coord, (edge[1:] == edge[:-1]) & (np.diff(coord) <= 1e-14))
+    edge, coord = edge[kept], coord[kept]
+    e, o = ds.canonical_arrays(edge, coord)
+    lo_end = np.flatnonzero(edge[1:] == edge[:-1])
+    lo, hi = coord[lo_end], coord[lo_end + 1]
+    at = np.column_stack([np.concatenate([e, edge[lo_end]]),
+                          np.concatenate([o, (lo + hi) / 2.0])])
+    return (list(zip(edge.tolist(), coord.tolist())), at, lo, hi, edge[lo_end],
             np.array([lo_end, lo_end + 1]))
 
 
@@ -241,21 +259,27 @@ def _graph_pieces(ds: GraphDirections, radii, dirs):
 # minimization
 # ---------------------------------------------------------------------------
 
-def _critical_angles(table: PieceTable, a, b):
+def _critical_angles(table: PieceTable, a, b, pieces=slice(None)):
     """Critical angles lo + mod(atan2(b, a) - lo, 2 pi) of c - a cos(theta)
-    - b sin(theta) on every piece, and whether each lies in its piece (a
-    flat piece, a = b = 0, has none)."""
-    theta = table.lo + np.mod(np.arctan2(b, a) - table.lo, TWO_PI)
-    return theta, (theta <= table.hi + 1e-15) & (np.hypot(a, b) > 0.0)
+    - b sin(theta) on every piece (or on the pieces given as indices into
+    the table), and whether each lies in its piece (a flat piece, a = b = 0,
+    has none)."""
+    lo = table.lo[pieces]
+    theta = lo + np.mod(np.arctan2(b, a) - lo, TWO_PI)
+    return theta, (theta <= table.hi[pieces] + 1e-15) & (np.hypot(a, b) > 0.0)
 
 
-def _inside_coords(system: DirectionSystem, theta, inside) -> list:
-    """Canonical direction coordinates of the angles (one per piece, in
-    rows or not) that lie inside their pieces."""
-    edges = np.broadcast_to(system.pieces.edge, theta.shape)[inside]
-    canonical = system.space.directions.canonical
-    return [canonical(t if system.kind == "circle" else (eid, t))
-            for t, eid in zip(theta[inside].tolist(), edges.tolist())]
+def _inside_coords(system: DirectionSystem, theta, edges) -> tuple[list, object]:
+    """Canonical direction coordinates of the angles theta on pieces of the
+    given edges: as a list, and as an array the metric reads."""
+    ds = system.space.directions
+    if system.kind == "circle":
+        coords = [ds.canonical(t) for t in theta.tolist()]
+        return coords, coords
+    if system.kind == "finite":
+        return [], []  # a finite direction set has no pieces
+    e, o = ds.canonical_arrays(edges, theta)
+    return list(zip(e.tolist(), o.tolist())), np.column_stack([e, o])
 
 
 def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
@@ -267,18 +291,28 @@ def min_derivative(system: DirectionSystem, weights) -> tuple[object, float]:
     and ties within TIE_TOL (w @ radii + |best|) go to the smallest canonical
     coordinate: both terms scale with a dilation r -> s r, so the argmin does
     not depend on the scale."""
-    w = np.asarray(weights, dtype=float)
+    return _minimize(system, np.asarray(weights, dtype=float))[:2]
+
+
+def _minimize(system: DirectionSystem, w: np.ndarray) -> tuple[object, float, list,
+                                                                np.ndarray]:
+    """`min_derivative`'s argmin and value, the exact derivatives at the
+    candidates that it scored on the way, and the pulls at the argmin."""
     table = system.pieces
     theta, inside = _critical_angles(table, w @ table.a, w @ table.b)
-    critical = _inside_coords(system, theta, inside)
+    critical, at = _inside_coords(system, theta[inside], table.edge[inside])
     coords = system.candidates + critical
-    values = system.derivatives(w) + system.derivatives(w, critical)
+    at_candidates = system.derivatives(w)
+    pulls = system._canonical_pulls(at)
+    values = at_candidates + _derivatives(w, pulls)
     best = min(values)
-    tol = TIE_TOL * (float(w @ system.radii) + abs(best))
+    tied = best + TIE_TOL * (float(w @ system.radii) + abs(best))
     canonical = system.space.directions.canonical
-    _, g = min((canonical(coords[g]), g) for g, v in enumerate(values)
-               if v <= best + tol)
-    return coords[g], values[g]
+    ties = np.flatnonzero(np.array(values) <= tied).tolist()
+    _, g = min((canonical(coords[g]), g) for g in ties)
+    k = len(at_candidates)
+    return coords[g], values[g], at_candidates, (system.pulls[:, g] if g < k
+                                                 else pulls[:, g - k])
 
 
 def touching_angles(system: DirectionSystem, row0, row1) -> list:
@@ -301,9 +335,12 @@ def touching_angles(system: DirectionSystem, row0, row1) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
         t = np.array([q / qa, qc / q])
-    t = np.where((t >= 0.0) & (t <= 1.0), t, np.nan)  # nan: no angle
-    theta, inside = _critical_angles(table, a0 + t * da, b0 + t * db)
-    return _inside_coords(system, theta, inside)
+    # the roots in [0, 1], root by root (nan and the others have no angle)
+    root, piece = np.nonzero((t >= 0.0) & (t <= 1.0))
+    t = t[root, piece]
+    theta, inside = _critical_angles(table, a0[piece] + t * da[piece],
+                                     b0[piece] + t * db[piece], piece)
+    return _inside_coords(system, theta[inside], table.edge[piece][inside])[0]
 
 
 def _end_derivatives(table: PieceTable) -> np.ndarray:

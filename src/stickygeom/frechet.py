@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import build_system, min_derivative
+from .directions import _minimize, build_system, min_derivative
 from .spaces import (
     PI,
     Cone,
@@ -81,10 +81,9 @@ def derivative_profile(sp: Cone, mu: Measure, directions=None) -> DerivativeProf
     bound for |derivative(sigma) - derivative(tau)|."""
     system = build_system(sp, mu)
     w = mu.weights()
-    argmin, min_value = min_derivative(system, w)
+    argmin, min_value, values, _ = _minimize(system, np.asarray(w, dtype=float))
     if directions is None:
         directions = list(system.candidates)
-        values = system.derivatives(w)
         if argmin not in directions:
             directions.append(argmin)
             values.append(min_value)  # the exact derivative at argmin

@@ -141,6 +141,12 @@ class GraphDirections:
                 home[v] = (eid, length)
         return tuple(home)  # connectivity guarantees no None survives
 
+    @cached_property
+    def _home_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # `_vertex_home` as an edge array and an offset array
+        eids, offs = zip(*self._vertex_home)
+        return np.array(eids), np.array(offs)
+
     def canonical(self, coord) -> tuple[int, float]:
         try:
             raw_eid, off = coord
@@ -159,6 +165,17 @@ class GraphDirections:
             return self._vertex_home[v]
         return (eid, off)
 
+    def canonical_arrays(self, eids: np.ndarray,
+                         offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`canonical` of coordinates that lie on their edges (offsets in
+        [-COORD_TOL, length + COORD_TOL]), given and returned as an edge
+        array and an offset array."""
+        _, u, v, length = self._endpoint_arrays
+        at = np.where(offs <= 0.0, u[eids], np.where(offs >= length[eids], v[eids], -1))
+        home_e, home_o = self._home_arrays
+        vertex = at >= 0
+        return np.where(vertex, home_e[at], eids), np.where(vertex, home_o[at], offs)
+
     @cached_property
     def _endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # the vertex-distance table, and each edge's first endpoint, second
@@ -175,51 +192,59 @@ class GraphDirections:
         dv = self._vertex_dist[w]
         return min(dv[u] + off, dv[v] + (length - off))
 
-    def _from_vertices(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # `vertex_to_coord` from every vertex to every coordinate, as a
-        # (vertices, len(coords)) array, with the coordinates' edges and offsets
+    def _from_vertices(self, eids, offs) -> tuple[np.ndarray, ...]:
+        # `vertex_to_coord` from every vertex to every coordinate, given as
+        # edge and offset arrays, as a (vertices, len(eids)) array; with each
+        # coordinate's edge's first endpoint, second endpoint and length
         dist, u, v, length = self._endpoint_arrays
-        eids = np.array([e for e, _ in coords], dtype=int)
-        offs = np.array([o for _, o in coords], dtype=float)
-        near = np.minimum(dist[:, u[eids]] + offs,
-                          dist[:, v[eids]] + (length[eids] - offs))
-        return near, eids, offs
+        ue, ve, le = u[eids], v[eids], length[eids]
+        # take: a gather of whole rows or columns, faster than [] indexing
+        return (np.minimum(dist.take(ue, axis=1) + offs, dist.take(ve, axis=1) + (le - offs)),
+                ue, ve, le)
 
     def endpoint_distances(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """`vertex_to_coord` from every edge's first endpoint and from its
         second endpoint to every coordinate: two (edges, len(coords)) arrays."""
-        near = self._from_vertices(coords)[0]
-        return near[self._endpoint_arrays[1]], near[self._endpoint_arrays[2]]
+        near = self._from_vertices(*_edges_offsets(coords))[0]
+        _, u, v, _ = self._endpoint_arrays
+        return near.take(u, axis=0), near.take(v, axis=0)
 
     def distances(self, a, b) -> np.ndarray:
         """`distance` from each coordinate of a to each of b, as a (len(a),
         len(b)) array, read cell by cell as `distance` reads it, so
-        distances(a, b) is exactly distances(b, a).T."""
-        _, u, v, length = self._endpoint_arrays
-        n = len(a)
-        near, e, o = self._from_vertices([*a, *b])
-        w = self._vertex_at(e, o)
-        near_a, ea, oa, wa = near[:, :n], e[:n], o[:n, None], w[:n]
-        near_b, eb, ob, wb = near[:, n:], e[n:], o[n:], w[n:]
+        distances(a, b) is exactly distances(b, a).T.  Each of a and b is a
+        sequence of (edge, offset) pairs, such as a list of tuples or an
+        (n, 2) array."""
+        (ea, oa), (eb, ob) = _edges_offsets(a), _edges_offsets(b)
+        n = len(ea)
+        o = np.concatenate([oa, ob])
+        near, ue, ve, le = self._from_vertices(np.concatenate([ea, eb]), o)
+        w = np.where(o == 0.0, ue, np.where(o == le, ve, -1))  # -1 inside an edge
+        near_a, ua, va, la, wa = near[:, :n], ue[:n], ve[:n], le[:n, None], w[:n]
+        near_b, ub, vb, lb, wb = near[:, n:], ue[n:], ve[n:], le[n:], w[n:]
+        oa = oa[:, None]
         same = ea[:, None] == eb
         a_first = (ea[:, None] < eb) | (same & (oa < ob))
         # the endpoint rule from the ends of the later coordinate's edge, or
-        # along an edge both share
-        dist = np.where(a_first,
-                        np.minimum(near_a[u[eb]].T + ob, near_a[v[eb]].T + (length[eb] - ob)),
-                        np.minimum(near_b[u[ea]] + oa, near_b[v[ea]] + (length[ea, None] - oa)))
-        dist = np.where(same, np.minimum(dist, np.abs(oa - ob)), dist)
+        # along an edge both share; in place, so that a wide table holds
+        # three arrays of its size at once
+        dist = _plus(near_b.take(ua, axis=0), oa)
+        np.minimum(dist, _plus(near_b.take(va, axis=0), la - oa), out=dist)
+        other = _plus(near_a.take(ub, axis=0).T, ob)
+        np.minimum(other, _plus(near_a.take(vb, axis=0).T, lb - ob), out=other)
+        np.copyto(dist, other, where=a_first)
+        np.abs(np.subtract(oa, ob, out=other), out=other)
+        np.minimum(dist, other, out=dist, where=same)
         # a vertex reads the rule from its own row of the table; of two
         # vertices, the first in canonical order does
-        a_row = (wa[:, None] >= 0) & (a_first | (wb < 0))
-        dist = np.where(a_row, near_b[np.maximum(wa, 0)], dist)
-        return np.where((wb >= 0) & ~a_row, near_a[np.maximum(wb, 0)].T, dist)
-
-    def _vertex_at(self, eids: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        # the vertex at each coordinate, -1 inside an edge
-        _, u, v, length = self._endpoint_arrays
-        return np.where(offs == 0.0, u[eids],
-                        np.where(offs == length[eids], v[eids], -1))
+        rows, cols = np.flatnonzero(wa >= 0), np.flatnonzero(wb >= 0)
+        if len(rows):
+            dist[rows] = np.where(a_first[rows] | (wb < 0), near_b.take(wa[rows], axis=0),
+                                  dist[rows])
+        if len(cols):
+            read = (wa[:, None] >= 0) & a_first[:, cols]  # the row read it
+            dist[:, cols] = np.where(read, dist[:, cols], near_a.take(wb[cols], axis=0).T)
+        return dist
 
     def distance(self, a, b) -> float:
         ca, cb = self.canonical(a), self.canonical(b)
@@ -243,6 +268,21 @@ class GraphDirections:
 
 
 DirectionSpace = FiniteDirections | CircleDirections | GraphDirections
+
+
+def _plus(x: np.ndarray, y) -> np.ndarray:
+    # x + y into x, which the caller owns
+    x += y
+    return x
+
+
+def _edges_offsets(coords) -> tuple[np.ndarray, np.ndarray]:
+    # the edges and the offsets of a sequence of (edge, offset) pairs; rows
+    # of an (n, 2) array convert without a Python loop
+    if isinstance(coords, np.ndarray):
+        return coords[:, 0].astype(int), coords[:, 1].astype(float, copy=False)
+    return (np.array([e for e, _ in coords], dtype=int),
+            np.array([o for _, o in coords], dtype=float))
 
 
 def finite_directions(matrix) -> FiniteDirections:
@@ -733,7 +773,9 @@ def _eccentricity_trapezoids(ds: GraphDirections):
     last two hold e's own farthest points behind and ahead of o,
     min(o, (D[u][v] + L)/2) and min(L - o, (D[u][v] + L)/2)."""
     dist, u, v, length = ds._endpoint_arrays
-    uu, uv, vu, vv = dist[u][:, u], dist[u][:, v], dist[v][:, u], dist[v][:, v]
+    du, dv = dist.take(u, axis=0), dist.take(v, axis=0)
+    uu, uv = du.take(u, axis=1), du.take(v, axis=1)
+    vu, vv = dv.take(u, axis=1), dv.take(v, axis=1)
     own, other = length[:, None], length[None, :]
     alpha = (uu + uv + other) / 2.0
     beta = (np.minimum(uu + vv, vu + uv) + own + other) / 2.0
@@ -746,16 +788,22 @@ def _eccentricity_trapezoids(ds: GraphDirections):
             np.column_stack([delta, inf, length]))
 
 
-def _uncovered(lo, hi, length: float) -> list[tuple[float, float]]:
-    """The maximal closed intervals [x, y] of [0, length] that no open
-    interval (lo[i], hi[i]) meets; x == y is a single point."""
+def _uncovered(lo, hi, length):
+    """The maximal closed intervals [x, y] of [0, length[e]] that no open
+    interval (lo[e, i], hi[e, i]) meets, for every row e of the (edges, k)
+    arrays lo and hi, as three arrays: the edges, x and y, in order of edge
+    and then of x; x == y is a single point."""
+    # an empty interval sorts last as (nan, -inf): it meets nothing and is
+    # no gap's end
     keep = lo < hi
-    order = np.argsort(lo[keep])
-    lo, hi = np.append(lo[keep][order], np.inf), hi[keep][order]
-    # reach[i]: 0 or the largest hi before interval i in order of lo
-    reach = np.maximum.accumulate(np.concatenate([[0.0], hi]))
-    gap = (lo >= reach) & (reach <= length)
-    return list(zip(reach[gap].tolist(), np.minimum(lo[gap], length).tolist()))
+    order = np.argsort(np.where(keep, lo, np.nan), axis=1)
+    lo = np.take_along_axis(np.where(keep, lo, np.nan), order, axis=1)
+    hi = np.take_along_axis(np.where(keep, hi, -np.inf), order, axis=1)
+    # reach[:, i]: 0 or the largest hi before column i in order of lo
+    reach = np.maximum.accumulate(np.hstack([np.zeros((len(lo), 1)), hi]), axis=1)
+    lo = np.hstack([lo, np.full((len(lo), 1), np.inf)])
+    edges, col = np.nonzero((lo >= reach) & (reach <= length[:, None]))
+    return edges, reach[edges, col], np.minimum(lo[edges, col], length[edges])
 
 
 def _graph_witness_candidates(ds: GraphDirections):
@@ -769,18 +817,20 @@ def _graph_witness_candidates(ds: GraphDirections):
     between the offsets where d(o, x) turns from the route through u to the
     route through v or a trapezoid crosses pi -/+ COORD_TOL; those offsets
     and the midpoints between them are the candidates.  (Where ecc < pi -
-    COORD_TOL the shadow is empty; such a stretch lies between crossings.)"""
+    COORD_TOL the shadow is empty; such a stretch lies between crossings.)
+    The gaps of every edge are found at once, and only edges with a gap
+    form their offsets."""
     dist, u, v, length = ds._endpoint_arrays
     alpha, beta, delta = _eccentricity_trapezoids(ds)
-    turns = (dist[v] + length[:, None] - dist[u]) / 2.0
     low, high = PI - COORD_TOL, PI + COORD_TOL
-    for eid, edge_length in enumerate(length.tolist()):
-        a, b, d = alpha[eid], beta[eid], delta[eid]
-        cuts = np.concatenate([turns[eid], low - a, d - low, high - a, d - high])
-        for x, y in _uncovered(high - a[b > high], d[b > high] - high, edge_length):
-            offs = sorted({x, y, *cuts[(cuts > x) & (cuts < y)].tolist()})
-            mids = [(p + q) / 2.0 for p, q in zip(offs, offs[1:])]
-            yield from ((eid, off) for off in offs + mids)
+    gaps = _uncovered(np.where(beta > high, high - alpha, np.inf), delta - high, length)
+    for eid, x, y in zip(*(g.tolist() for g in gaps)):
+        a, d = alpha[eid], delta[eid]
+        turns = (dist[v[eid]] + length[eid] - dist[u[eid]]) / 2.0
+        cuts = np.concatenate([turns, low - a, d - low, high - a, d - high])
+        offs = sorted({x, y, *cuts[(cuts > x) & (cuts < y)].tolist()})
+        mids = [(p + q) / 2.0 for p, q in zip(offs, offs[1:])]
+        yield from ((eid, off) for off in offs + mids)
 
 
 def is_prismatic(ds: DirectionSpace) -> bool:

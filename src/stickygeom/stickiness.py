@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._mc import map_chunks
-from .directions import (DirectionSystem, build_system, min_derivative,
-                         resample_distances, touching_angles)
+from .directions import (DirectionSystem, _derivatives, _minimize, build_system,
+                         min_derivative, resample_distances, touching_angles)
 from .frechet import book_mean_over, directional_derivative, mean_from_min_derivative
 from .spaces import (
     PI,
@@ -56,12 +56,12 @@ def classify(sp: Space, mu: Measure, tol: float = CLASSIFY_TOL) -> StickinessRep
         rep = classify(sp.spider, spider_marginal(sp, mu), tol)
         return replace(rep, mean=book_mean_over(sp, mu, rep.mean))
     system = build_system(sp, mu)
-    w = mu.weights()
-    argmin, c_min = min_derivative(system, w)
-    derivs = tuple(zip(system.candidates, system.derivatives(w)))
+    w = np.asarray(mu.weights(), dtype=float)
+    argmin, c_min, at_candidates, _ = _minimize(system, w)
+    derivs = tuple(zip(system.candidates, at_candidates))
     pc = pull_condition(sp, mu)
     mean = mean_from_min_derivative(sp, argmin, c_min)
-    scale = tol * float(np.asarray(w) @ system.radii)
+    scale = tol * float(w @ system.radii)
     if c_min > scale:
         label = "sticky"
     elif c_min < -scale:
@@ -120,10 +120,11 @@ def pull_condition(sp: Cone, mu: Measure) -> bool:
     return not right.all(axis=1).any()
 
 
-def _right_angle_candidates(ds, direction) -> list:
+def _right_angle_candidates(ds, direction):
     """Directions that include every one at distance exactly pi/2 from the
     given one (graphs: the distance functions are piecewise linear with
-    slopes +-1); a finite set gives all its directions."""
+    slopes +-1, and the directions come as an (n, 2) array, repeats and
+    all); a finite set gives all its directions."""
     if isinstance(ds, FiniteDirections):
         return list(range(ds.size))
     c = ds.canonical(direction)
@@ -133,16 +134,15 @@ def _right_angle_candidates(ds, direction) -> list:
         return [ds.canonical(c + PI / 2.0), ds.canonical(c - PI / 2.0)]
     assert isinstance(ds, GraphDirections)
     to_first, to_second = ds.endpoint_distances([c])
-    cands = set()
-    for eid, ((_u, _v, length), ra, rb) in enumerate(
-            zip(ds.edges, to_first[:, 0].tolist(), to_second[:, 0].tolist())):
-        offs = {PI / 2.0 - ra, rb + length - PI / 2.0}
-        if eid == c[0]:
-            offs.add(c[1] - PI / 2.0)
-            offs.add(c[1] + PI / 2.0)
-        cands |= {ds.canonical((eid, min(max(off, 0.0), length))) for off in offs
-                  if -1e-12 <= off <= length + 1e-12}
-    return sorted(cands)
+    length = ds._endpoint_arrays[3]
+    # on every edge, the offsets at pi/2 along the branch through either
+    # endpoint; on c's own edge also those along the edge itself
+    eids = np.concatenate([np.tile(np.arange(len(length)), 2), [c[0], c[0]]])
+    offs = np.concatenate([PI / 2.0 - to_first[:, 0], to_second[:, 0] + length - PI / 2.0,
+                           [c[1] - PI / 2.0, c[1] + PI / 2.0]])
+    keep = (offs >= -1e-12) & (offs <= length[eids] + 1e-12)
+    eids, offs = eids[keep], np.minimum(np.maximum(offs[keep], 0.0), length[eids[keep]])
+    return np.column_stack(ds.canonical_arrays(eids, offs))
 
 
 def perturbation_threshold(sp: Space, mu: Measure, y: Point,
@@ -166,18 +166,21 @@ def perturbation_threshold(sp: Space, mu: Measure, y: Point,
     # its coefficient rows are (1-t) mu_row + t y_row
     mixed = perturbed_measure(sp, mu, y, 0.5)
     system = build_system(sp, mixed)
-    points = mixed.points()
+    index = {z: i for i, z in enumerate(mixed.points())}
     mu_row, y_row = np.zeros((2, mixed.size))
-    mu_row[[points.index(z) for z in mu.points()]] = mu.weights()
-    y_row[points.index(y)] = 1.0
-    argmin, c_min = min_derivative(system, mu_row)
+    mu_row[[index[z] for z in mu.points()]] = mu.weights()
+    iy = index[y]
+    y_row[iy] = 1.0
+    _, c_min, at_candidates, at_argmin = _minimize(system, mu_row)
     if c_min < -tol * float(mu_row @ system.radii):
         return 0.0
-    # mu's own argmin: a boundary mu touches zero there at t = 0, where the
-    # quadratic's root can round below 0
-    extra = [argmin] + touching_angles(system, mu_row, y_row)
-    d0 = np.maximum(system.derivatives(mu_row) + system.derivatives(mu_row, extra), 0.0)
-    d1 = np.array(system.derivatives(y_row) + system.derivatives(y_row, extra))
+    # mu's own argmin too: a boundary mu touches zero there at t = 0, where
+    # the quadratic's root can round below 0
+    touching = system._canonical_pulls(touching_angles(system, mu_row, y_row))
+    d0 = np.maximum(at_candidates + [c_min] + _derivatives(mu_row, touching), 0.0)
+    # y's row is one-hot, so D_1 is minus y's pull: the one nonzero term of
+    # its fsum
+    d1 = -np.concatenate([system.pulls[iy], at_argmin[iy:iy + 1], touching[iy]])
     falls = d1 < 0.0  # an apex y has D_1 = 0 everywhere, so t = 1
     t = d0[falls] / (d0[falls] - d1[falls])
     return float(np.min(t, initial=1.0)) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -235,7 +238,8 @@ def tail_bound(c_min: float, k: float, n: int) -> float:
 # exact resampling on any cone within ENUMERATION_WORK: every count vector
 # ---------------------------------------------------------------------------
 
-BLOCK_ROWS = 80_601  # C(402, 2); a block of more rows splits by its next count
+BLOCK_ROWS = 80_601  # C(402, 2): the rows of a 4-atom block at n = 400
+BLOCK_CELLS = 4 * BLOCK_ROWS  # a block of more counts splits by its next count
 SCREEN_WIDTH = 16  # per-row cost of batch_min_derivative's piece screen, in cells
 BLOCK_WORK = 4096  # per-block cost of the pmf and the scoring calls, in cells
 ENUMERATION_WORK = math.comb(403, 3) * 8 + 401 * BLOCK_WORK  # 4 atoms, 4-spider, n = 400
@@ -253,9 +257,10 @@ def enumeration_work(system: DirectionSystem, n: int) -> int:
 def _count_blocks(n: int, m: int, prefix: tuple = ()):
     """Every vector of m nonnegative counts summing to n, in lexicographic
     order after the prefix, in blocks of rows that share the first count; a
-    block of more than BLOCK_ROWS rows splits by its next count, so a block
-    holds O(BLOCK_ROWS * m) counts whatever m is."""
-    if m > 1 and (not prefix or math.comb(n + m - 1, m - 1) > BLOCK_ROWS):
+    block of more than BLOCK_CELLS counts (rows times atoms) splits by its
+    next count, so a block holds O(BLOCK_CELLS) counts whatever m is."""
+    if m > 1 and (not prefix or
+                  math.comb(n + m - 1, m - 1) * (len(prefix) + m) > BLOCK_CELLS):
         for first in range(n + 1):
             yield from _count_blocks(n - first, m - 1, prefix + (first,))
         return

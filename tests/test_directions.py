@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gen
+from stickygeom import directions as D
 from stickygeom import frechet as F
 from stickygeom import spaces as S
 from stickygeom import stickiness as ST
@@ -150,9 +151,10 @@ def test_piece_coefficients_are_the_pulls(kind):
         assert (np.sign(hi - lo)[smooth] != 0.0).all(), kind
 
 
-def test_build_system_reads_two_distance_tables(monkeypatch):
-    """build_system asks the metric twice, whatever the kind: once at the
-    candidates (the pulls and the piece ends) and once at the midpoints."""
+def test_build_system_reads_one_distance_table(monkeypatch):
+    """build_system asks the metric once, whatever the kind: at the
+    candidates (the pulls and the piece ends) and at the midpoints, in one
+    table."""
     calls = []
     for cls in (S.FiniteDirections, S.CircleDirections, S.GraphDirections):
         monkeypatch.setattr(cls, "distances", lambda self, a, b, real=cls.distances:
@@ -163,7 +165,141 @@ def test_build_system_reads_two_distance_tables(monkeypatch):
         mu = gen.random_measure(sp, rng)
         calls.clear()
         build_system(sp, mu)
-        assert calls == [type(sp.directions)] * 2, calls
+        assert calls == [type(sp.directions)], calls
+
+
+@pytest.mark.parametrize("kind", sorted(SPACE_MAKERS))
+def test_fused_distance_table_is_the_separate_tables(kind):
+    """One `distances` table at the candidates and then the midpoints has,
+    column by column, the bits of the two tables it replaced; a graph reads
+    an (n, 2) array of coordinates as it reads the same list of pairs."""
+    rng = np.random.default_rng(81)
+    for _ in range(30):
+        sp = SPACE_MAKERS[kind](rng)
+        mu = gen.random_measure(sp, rng)
+        system = build_system(sp, mu)
+        ds, t = sp.directions, system.pieces
+        ends = [ds.canonical(c) for c in system.candidates]
+        mids = ((t.lo + t.hi) / 2.0).tolist()
+        if system.kind == "graph":
+            mids = list(zip(t.edge.tolist(), mids))
+        fused = ds.distances(system.atom_dirs, ends + mids)
+        apart = np.hstack([ds.distances(system.atom_dirs, ends),
+                           ds.distances(system.atom_dirs, mids)])
+        assert fused.tobytes() == apart.tobytes(), kind
+        if system.kind == "graph":
+            arrays = ds.distances(np.array(system.atom_dirs), np.array(ends + mids))
+            assert arrays.tobytes() == fused.tobytes(), kind
+
+
+# ---------------------------------------------------------------------------
+# the loop builder of graph pieces, kept as the oracle of the array builder
+# ---------------------------------------------------------------------------
+
+def _sorted_merged(values) -> list:
+    """The values in increasing order, less any within 1e-14 of the last one
+    kept."""
+    out = []
+    for val in sorted(values):
+        if not out or val - out[-1] > 1e-14:
+            out.append(val)
+    return out
+
+
+def _loop_graph_pieces(ds, radii, dirs):
+    """Candidates, pieces and piece-end indices, edge by edge and atom by
+    atom into sets of cuts."""
+    to_first, to_second = ds.endpoint_distances(dirs)
+    cand_coords = []
+    los, his, piece_edges, lo_end = [], [], [], []
+    for eid, ((_u, _v, length), ra, rb) in enumerate(
+            zip(ds.edges, to_first.tolist(), to_second.tolist())):
+        cuts = {0.0, length}
+        for i, r in enumerate(radii):
+            if r <= 0.0:
+                continue
+            branches = [(ra[i], 1.0), (rb[i] + length, -1.0)]
+            cuts.add((rb[i] + length - ra[i]) / 2.0)
+            if dirs[i][0] == eid:
+                off = dirs[i][1]
+                cuts.add(off)
+                cuts.add((off - ra[i]) / 2.0)
+                cuts.add((off + rb[i] + length) / 2.0)
+                branches += [(off, -1.0), (-off, 1.0)]
+            for b, s in branches:
+                cuts.add((PI - b) / s)
+        cleaned = _sorted_merged(min(max(c, 0.0), length) for c in cuts
+                                 if -1e-14 <= c <= length + 1e-14)
+        lo_end += range(len(cand_coords), len(cand_coords) + len(cleaned) - 1)
+        cand_coords += [(eid, coord) for coord in cleaned]
+        los += cleaned[:-1]
+        his += cleaned[1:]
+        piece_edges += [eid] * (len(cleaned) - 1)
+    lo_end = np.array(lo_end, dtype=int)
+    return (cand_coords, np.array(los), np.array(his), np.array(piece_edges, dtype=int),
+            np.array([lo_end, lo_end + 1]))
+
+
+def _assert_matches_loop(sp, mu):
+    """build_system's candidates, pulls and piece table, bit for bit, against
+    the loop builder read through two tables of the metric: one at the
+    candidates, canonicalized one by one, and one at the midpoints."""
+    ds = sp.directions
+    radii = np.array([p.radius for p in mu.points()])
+    dirs = [p.direction for p in mu.points()]
+    cands, lo, hi, edge, ends = _loop_graph_pieces(ds, radii, dirs)
+    dist = ds.distances(dirs, [ds.canonical(c) for c in cands])
+    mid = (lo + hi) / 2.0
+    mid_dist = ds.distances(dirs, list(zip(edge.tolist(), mid.tolist())))
+    phase = np.sign(dist[:, ends[1]] - dist[:, ends[0]]) * mid_dist - mid
+    want = D._coefficients(radii, lo, hi, mid_dist, phase, edge)
+    system = build_system(sp, mu)
+    assert repr(system.candidates) == repr(cands), (ds.edges, mu)
+    got = [system.pulls] + [getattr(system.pieces, f) for f in "lo hi a b c edge".split()]
+    for g, w in zip(got, [D._pulls(radii, dist)]
+                    + [getattr(want, f) for f in "lo hi a b c edge".split()]):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), mu
+
+
+ORACLE_MAKERS = (
+    gen.random_tree_graph_cone,
+    lambda rng: gen.random_cycle_graph_cone(rng, 1.2 * PI, 4.0 * PI),
+    lambda rng: S.petersen_cone(),
+    lambda rng: S.petersen_cone(float(rng.uniform(0.2, 2.0))),
+)
+
+
+def test_graph_pieces_match_the_loop_oracle():
+    rng = np.random.default_rng(91)
+    for k in range(320):
+        sp = ORACLE_MAKERS[k % len(ORACLE_MAKERS)](rng)
+        _assert_matches_loop(sp, gen.random_measure(sp, rng, max_atoms=12))
+
+
+def test_graph_pieces_match_the_loop_oracle_on_awkward_cuts():
+    """A path 0 - 1 - 2 with edges of length 1 and 4: cuts within 1e-14 of
+    each other (a pair, and a chain of three of which `_merged` keeps the
+    first and the third), atoms at a vertex and at the apex, and cuts at
+    -5e-15 and at 1 + 5e-15 on edge 0, which clip to its ends."""
+    sp = S.graph_cone(3, [(0, 1, 1.0), (1, 2, 4.0)])
+    ds = sp.directions
+    near_pi = PI - 1.0 + 5e-15  # edge 1: 1 + near_pi from vertex 0
+    atoms = [((1, 0.5), 1.0), ((1, 0.5 + 5e-15), 0.8),
+             ((1, 2.0), 0.6), ((1, 2.0 + 6e-15), 0.9), ((1, 2.0 + 1.2e-14), 0.7),
+             ((0, 0.0), 1.1), ((1, 4.0), 0.4), ((0, 0.3), 0.0),
+             ((1, near_pi), 1.3), ((1, PI + 5e-15), 1.2)]
+    mu = S.measure(sp, [(a, 0.1) for a in atoms])
+    assert -1e-14 <= PI - ds.vertex_to_coord(0, (1, near_pi)) < 0.0
+    assert 1.0 < ds.vertex_to_coord(1, (1, PI + 5e-15)) + 1.0 - PI <= 1.0 + 1e-14
+    _assert_matches_loop(sp, mu)
+    offsets = [o for e, o in build_system(sp, mu).candidates if e == 1]
+    assert 0.5 + 5e-15 not in offsets and 2.0 + 6e-15 not in offsets
+    assert 2.0 + 1.2e-14 in offsets
+    # and the same cuts, read from the other end of every edge
+    flip = S.graph_cone(3, [(1, 0, 1.0), (2, 1, 4.0)])
+    lengths = (1.0, 4.0)
+    _assert_matches_loop(flip, S.measure(flip, [(((e, lengths[e] - o), r), 0.1)
+                                                for (e, o), r in atoms]))
 
 
 PREMISE_MAKERS = {

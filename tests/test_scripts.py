@@ -99,6 +99,7 @@ def test_kernel_values_rerun_byte_identical(tmp_path):
         "verdicts: 0 of 1040 flipped",
         "exact: 0 of 480 moved, largest move 0 relative",
         "cones: 0 of 360 moved, largest move 0 relative",
+        "pieces: 0 of 20 moved",
     ]
 
 

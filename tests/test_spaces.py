@@ -505,6 +505,53 @@ def test_prismatic_matches_dense_eccentricity_bracket():
     assert sum(decided.values()) >= 300 and min(decided.values()) >= 50, decided
 
 
+def _loop_uncovered(lo, hi, length: float) -> list[tuple[float, float]]:
+    """The maximal closed intervals [x, y] of [0, length] that no open
+    interval (lo[i], hi[i]) meets; x == y is a single point."""
+    keep = lo < hi
+    order = np.argsort(lo[keep])
+    lo, hi = np.append(lo[keep][order], np.inf), hi[keep][order]
+    reach = np.maximum.accumulate(np.concatenate([[0.0], hi]))
+    gap = (lo >= reach) & (reach <= length)
+    return list(zip(reach[gap].tolist(), np.minimum(lo[gap], length).tolist()))
+
+
+def _loop_witness_candidates(ds):
+    """`_graph_witness_candidates` edge by edge: the oracle of the search
+    that finds every edge's gaps at once."""
+    dist, u, v, length = ds._endpoint_arrays
+    alpha, beta, delta = S._eccentricity_trapezoids(ds)
+    turns = (dist[v] + length[:, None] - dist[u]) / 2.0
+    low, high = PI - S.COORD_TOL, PI + S.COORD_TOL
+    for eid, edge_length in enumerate(length.tolist()):
+        a, b, d = alpha[eid], beta[eid], delta[eid]
+        cuts = np.concatenate([turns[eid], low - a, d - low, high - a, d - high])
+        for x, y in _loop_uncovered(high - a[b > high], d[b > high] - high, edge_length):
+            offs = sorted({x, y, *cuts[(cuts > x) & (cuts < y)].tolist()})
+            mids = [(p + q) / 2.0 for p, q in zip(offs, offs[1:])]
+            yield from ((eid, off) for off in offs + mids)
+
+
+def test_witness_candidates_match_the_loop_oracle():
+    """The same candidates, bit for bit, on Petersen graphs with edge
+    lengths 0.2 to 2.0, the hand-made borderline graphs, and random trees and
+    cycles near 2 pi."""
+    graphs = [S.petersen_directions(float(x)) for x in np.linspace(0.2, 2.0, 60)]
+    graphs += [make() for make in BORDERLINE.values()]
+    graphs += [_square_with_pendants(), _cycle_with_doubled_far_side()]
+    rng = np.random.default_rng(1107)
+    for i in range(600):
+        sp = (gen.random_tree_graph_cone(rng) if i % 2
+              else gen.random_cycle_graph_cone(rng, 1.5 * PI, 2.5 * PI))
+        graphs.append(sp.directions)
+    found = 0
+    for ds in graphs:
+        want = list(_loop_witness_candidates(ds))
+        assert repr(list(S._graph_witness_candidates(ds))) == repr(want), ds.edges
+        found += bool(want)
+    assert found >= 100, found
+
+
 def test_open_book_spine_not_prismatic():
     assert S.open_book_prismatic(S.open_book(3, 2)) is False
 

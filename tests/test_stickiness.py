@@ -392,15 +392,17 @@ def test_exact_enumeration_against_brute_force(m):
             math.fsum(moment), abs=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(4, 400), (15, 10)])
+@pytest.mark.parametrize("m,n", [(4, 400), (15, 10), (20, 8)])
 def test_count_blocks_stay_under_the_cap(m, n):
     """Every count vector appears once, in lexicographic order, in blocks
-    that share their first count and hold at most BLOCK_ROWS rows: 4 atoms
-    at n = 400 keep one block per first count, 15 atoms at n = 10 split the
-    blocks of the small first counts further."""
+    that share their first count and hold at most BLOCK_CELLS counts (so at
+    most BLOCK_ROWS rows from 4 atoms on): 4 atoms at n = 400 keep one block
+    per first count, 15 atoms at n = 10 and 20 at n = 8 split the blocks of
+    the small first counts further."""
     rows, prev, firsts = 0, None, []
     for block in ST._count_blocks(n, m):
         assert block.shape[1] == m and len(block) <= ST.BLOCK_ROWS
+        assert block.size <= ST.BLOCK_CELLS
         assert (block.sum(axis=1) == n).all() and (block >= 0).all()
         assert len(set(block[:, 0].tolist())) == 1
         firsts.append(int(block[0, 0]))
